@@ -75,8 +75,6 @@ MODULES = [
     "repro.lint.rules_lease",
     "repro.lint.rules_kernel",
     "repro.lint.rules_shard",
-    "repro.lint.rules_protocol",
-    "repro.lint.rules_registry",
     "repro.lint.runner",
     "repro.apps.histogram",
     "repro.apps.load_balance",
@@ -86,6 +84,7 @@ MODULES = [
     "repro.service.updates",
     "repro.service.frontend",
     "repro.service.durability",
+    "repro.shard.protocol",
     "repro.shard.transport",
     "repro.shard.worker",
     "repro.shard.router",
@@ -126,7 +125,7 @@ see ``repro <command> --help`` for every flag.
   change.
 - `repro lint [PATH ...] [--json] [--rule RULE ...] [--diff REF]
   [--baseline FILE] [--no-cache]` — run the emlint EM-conformance
-  rules (`repro.lint`, rules R1–R9) with whole-program call-graph and
+  rules (`repro.lint`, rules R1–R7) with whole-program call-graph and
   dataflow analysis over the package plus `scripts/` and
   `benchmarks/`; exits non-zero on any active error-severity finding.
   `--diff` reports only files changed versus a git ref (analysis stays
@@ -217,10 +216,29 @@ def describe_module(name: str) -> list[str]:
     return out
 
 
+def protocol_table() -> list[str]:
+    """The shard request protocol, rendered from the table the worker
+    and the pools dispatch through."""
+    from repro.shard.protocol import PROTOCOL
+
+    out = [
+        "| kind | payload | reply | reply payload | handler | needs seal |",
+        "|------|---------|-------|---------------|---------|------------|",
+    ]
+    for r in PROTOCOL.values():
+        out.append(
+            f"| `{r.kind}` | {r.payload} | `{r.reply}` | {r.answer} "
+            f"| `ShardWorker.{r.handler}` | {'yes' if r.sealed else 'no'} |"
+        )
+    return out + [""]
+
+
 def generate() -> str:
     chunks = [HEADER]
     for name in MODULES:
         chunks.extend(describe_module(name))
+        if name == "repro.shard.protocol":
+            chunks.extend(protocol_table())
     return "\n".join(chunks).rstrip() + "\n"
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "partition_left_bound",
     "partition_two_sided_lower",
     "partition_two_sided_upper",
+    "precise_partition_io",
     "online_trace_io",
     "service_index_io",
     "service_recovery_io",
@@ -162,6 +163,13 @@ def partition_two_sided_upper(
     return (a * k / b) * lg_ratio(min(k, a * k / b), m, b) + partition_left_bound(
         n, k, bb, m, b
     )
+
+
+def precise_partition_io(n: int, bb: int, m: int, b: int) -> float:
+    """§3 reduction: precise partitioning into parts of size ``bb`` —
+    a left-grounded approximate ``ceil(N/bb)``-partitioning plus one
+    ``O(N/B)`` sweep."""
+    return partition_left_bound(n, -(-n // bb), bb, m, b) + scan_io(n, b)
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,13 @@ Aggarwal–Vitter cost accounting:
   or ``benchmarks/``;
 * **R5** — leases are provably released on all paths, across functions;
 * **R6** — hot-path record ops route through the kernel backend;
-* **R7** — shard code never touches another shard's state;
-* **R8** — the shard request/reply protocol is closed (sends ⇔
-  handlers ⇔ docstring table);
-* **R9** — solver registry, budget envelopes, bound formulas, and phase
-  labels agree.
+* **R7** — shard code never touches another shard's state.
+
+Two former rules are retired because their invariants became
+structural: the shard request/reply protocol is one table
+(:data:`repro.shard.protocol.PROTOCOL`) that both ends consume, and
+each solver holds its bound formula as a callable whose name is its
+label, with ``Disk.phase`` rejecting malformed phase labels at runtime.
 
 Run it with ``repro lint [--json] [--rule R2 ...] [--diff REF]
 [--baseline FILE] [--no-cache]``; silence an intentional exception with

@@ -97,12 +97,13 @@ def check_budgets(path: str | Path | None = None) -> list[BudgetCheck]:
             f"{budgets_path} budgets unknown solvers: {sorted(unknown)}"
         )
     checks: list[BudgetCheck] = []
-    for name in SOLVERS:
+    for name, solver in SOLVERS.items():
+        label = solver.formula.__name__
         entry = entries.get(name)
         if entry is None:
             checks.append(
                 BudgetCheck(
-                    solver=name, formula=SOLVERS[name].formula_name,
+                    solver=name, formula=label,
                     measured=0, bound=0.0, ratio=float("inf"),
                     envelope=0.0, ok=False,
                 )
@@ -113,7 +114,7 @@ def check_budgets(path: str | Path | None = None) -> list[BudgetCheck]:
         checks.append(
             BudgetCheck(
                 solver=name,
-                formula=entry.get("formula", SOLVERS[name].formula_name),
+                formula=label,
                 measured=run["io"],
                 bound=run["bound"],
                 ratio=run["ratio"],
@@ -168,7 +169,7 @@ def write_budgets(
         run = run_solver(name)
         entries[name] = {
             "title": solver.title,
-            "formula": solver.formula_name,
+            "formula": solver.formula.__name__,
             "point": {
                 k: v for k, v in solver.defaults.items() if v
             },

@@ -28,9 +28,8 @@ import numpy as np
 from ..bounds.formulas import (
     multiselect_io,
     online_trace_io,
-    partition_left_bound,
     partition_right_upper,
-    scan_io,
+    precise_partition_io,
     service_index_io,
     service_recovery_io,
     sharded_service_io,
@@ -51,16 +50,22 @@ class Solver:
 
     ``run(machine, file, params)`` executes the algorithm (freeing any
     output files it creates) and returns a one-line outcome string;
-    ``formula(params)`` evaluates the paper's Θ-shape at a parameter
-    point (same dict shape as ``defaults``).
+    ``formula`` is the paper's Θ-shape, a :mod:`repro.bounds.formulas`
+    function taking the parameters named by ``args`` in order — its
+    ``__name__`` is the label budgets and reports print.
     """
 
     name: str
     title: str
     defaults: dict
-    formula: Callable[[dict], float]
-    formula_name: str
+    formula: Callable[..., float]
+    args: tuple[str, ...]
     run: Callable[["Machine", "EMFile", dict], str]
+
+    def bound(self, params: dict) -> float:
+        """The Θ-shape at a parameter point (same dict shape as
+        ``defaults``)."""
+        return self.formula(*(params[a] for a in self.args))
 
 
 def _ranks(n: int, k: int) -> np.ndarray:
@@ -201,14 +206,6 @@ def _run_service_recovery(machine: "Machine", file: "EMFile", p: dict) -> str:
     )
 
 
-def _reduction_formula(p: dict) -> float:
-    # Approx (left-grounded) partition plus the §3 sweep's O(N/B).
-    n, b = p["n"], p["part_size"]
-    return partition_left_bound(
-        n, -(-n // b), b, p["memory"], p["block"]
-    ) + scan_io(n, p["block"])
-
-
 #: name -> Solver.  Reference points use the wide machine (M=4096,
 #: B=64) and sizes small enough that replaying every entry takes
 #: seconds, but large enough that each algorithm leaves its base case.
@@ -220,8 +217,8 @@ SOLVERS: dict[str, Solver] = {
             title="external merge sort (the §1.2 baseline)",
             defaults=dict(n=20_000, k=0, a=0, part_size=0,
                           memory=4096, block=64, seed=0),
-            formula=lambda p: sort_io(p["n"], p["memory"], p["block"]),
-            formula_name="sort_io",
+            formula=sort_io,
+            args=("n", "memory", "block"),
             run=_run_sort,
         ),
         Solver(
@@ -229,10 +226,8 @@ SOLVERS: dict[str, Solver] = {
             title="multi-selection (Theorem 4)",
             defaults=dict(n=20_000, k=64, a=0, part_size=0,
                           memory=4096, block=64, seed=0),
-            formula=lambda p: multiselect_io(
-                p["n"], p["k"], p["memory"], p["block"]
-            ),
-            formula_name="multiselect_io",
+            formula=multiselect_io,
+            args=("n", "k", "memory", "block"),
             run=_run_multiselect,
         ),
         Solver(
@@ -240,10 +235,8 @@ SOLVERS: dict[str, Solver] = {
             title="right-grounded approximate K-splitters (Theorem 5)",
             defaults=dict(n=40_000, k=64, a=32, part_size=0,
                           memory=4096, block=64, seed=0),
-            formula=lambda p: splitters_right_bound(
-                p["n"], p["k"], p["a"], p["memory"], p["block"]
-            ),
-            formula_name="splitters_right_bound",
+            formula=splitters_right_bound,
+            args=("n", "k", "a", "memory", "block"),
             run=_run_splitters,
         ),
         Solver(
@@ -251,10 +244,8 @@ SOLVERS: dict[str, Solver] = {
             title="right-grounded approximate K-partitioning (Theorem 6)",
             defaults=dict(n=20_000, k=16, a=128, part_size=0,
                           memory=4096, block=64, seed=0),
-            formula=lambda p: partition_right_upper(
-                p["n"], p["k"], p["a"], p["memory"], p["block"]
-            ),
-            formula_name="partition_right_upper",
+            formula=partition_right_upper,
+            args=("n", "k", "a", "memory", "block"),
             run=_run_partition,
         ),
         Solver(
@@ -262,8 +253,8 @@ SOLVERS: dict[str, Solver] = {
             title="precise partitioning via approximate (§3 reduction)",
             defaults=dict(n=20_000, k=0, a=0, part_size=500,
                           memory=4096, block=64, seed=0),
-            formula=_reduction_formula,
-            formula_name="partition_left_bound + scan_io",
+            formula=precise_partition_io,
+            args=("n", "part_size", "memory", "block"),
             run=_run_reduction,
         ),
         # The acceptance point of the online partition service: the full
@@ -276,10 +267,8 @@ SOLVERS: dict[str, Solver] = {
             title="lazy online partition service (zipfian trace)",
             defaults=dict(n=2**20, k=256, a=0, part_size=0, queries=512,
                           memory=4096, block=64, seed=0),
-            formula=lambda p: online_trace_io(
-                p["n"], p["k"], p["queries"], p["memory"], p["block"]
-            ),
-            formula_name="online_trace_io",
+            formula=online_trace_io,
+            args=("n", "k", "queries", "memory", "block"),
             run=_run_service_online,
         ),
         # The sharded coordinator (ISSUE 9): split across W workers by
@@ -294,11 +283,8 @@ SOLVERS: dict[str, Solver] = {
             title="sharded partition service, coordinator + communication",
             defaults=dict(n=2**17, k=128, a=0, part_size=0, queries=256,
                           shards=4, memory=4096, block=64, seed=0),
-            formula=lambda p: sharded_service_io(
-                p["n"], p["k"], p["queries"], p["shards"],
-                p["memory"], p["block"],
-            ),
-            formula_name="sharded_service_io",
+            formula=sharded_service_io,
+            args=("n", "k", "queries", "shards", "memory", "block"),
             run=_run_service_sharded,
         ),
         Solver(
@@ -306,10 +292,8 @@ SOLVERS: dict[str, Solver] = {
             title="eager partition index (build + queries + updates)",
             defaults=dict(n=65_536, k=64, a=0, part_size=0, queries=64,
                           memory=4096, block=64, seed=0),
-            formula=lambda p: service_index_io(
-                p["n"], p["k"], p["queries"], p["memory"], p["block"]
-            ),
-            formula_name="service_index_io",
+            formula=service_index_io,
+            args=("n", "k", "queries", "memory", "block"),
             run=_run_service_index,
         ),
         # Crash recovery of the durable service (ISSUE 6): build, apply
@@ -320,11 +304,8 @@ SOLVERS: dict[str, Solver] = {
             title="durable service crash recovery (WAL replay + queries)",
             defaults=dict(n=32_768, k=32, a=0, part_size=0, queries=128,
                           updates=512, memory=4096, block=64, seed=0),
-            formula=lambda p: service_recovery_io(
-                p["n"], p["k"], p["updates"], p["queries"],
-                p["memory"], p["block"],
-            ),
-            formula_name="service_recovery_io",
+            formula=service_recovery_io,
+            args=("n", "k", "updates", "queries", "memory", "block"),
             run=_run_service_recovery,
         ),
     ]
@@ -367,7 +348,7 @@ def run_solver(name: str, overrides: dict | None = None):
         outcome = solver.run(machine, file, params)
     finally:
         file.free()
-    bound = solver.formula(params)
+    bound = solver.bound(params)
     io = machine.io.total
     return {
         "solver": name,

@@ -196,13 +196,13 @@ class DeltaBuffer:
                                 )
                             else:
                                 key = ops[pos][1]
-                                pos += 1
                                 try:
                                     j, uid = self._apply_delete(key)
                                 except SpecError:
                                     handled = True
-                                    self._ops = ops[pos:] + self._ops
+                                    self._ops = ops[pos + 1 :] + self._ops
                                     raise
+                                pos += 1
                                 touched.add(j)
                                 applied.append(("delete", (key, uid)))
                     except BaseException:
@@ -349,6 +349,9 @@ class DeltaBuffer:
         equal to a splitter key can straddle a partition boundary, so
         every candidate partition between the key's lowest and highest
         possible composite is scanned until a live victim is found.
+        The tombstone's resident memory is leased before it lands, so a
+        denied lease leaves the delete unapplied (and reinstated by
+        :meth:`flush`) rather than applied but unrecorded.
         """
         idx = self._index
         m = idx._machine
@@ -368,9 +371,12 @@ class DeltaBuffer:
                         for rec in hits:
                             c = composite_of(int(rec["key"]), int(rec["uid"]))
                             if c not in part.tombstones:
+                                # flush() synced the lease and only
+                                # tombstones grow it, so lease exactly one
+                                # more record.
+                                idx._resident.resize(idx._resident.size + 1)
                                 part.tombstones.add(c)
                                 idx._n_live -= 1
-                                idx._sync_resident()
                                 return j, int(rec["uid"])
         raise SpecError(f"delete: no live element with key {key}")
 

@@ -12,6 +12,7 @@ speaks the single-machine engine protocol, so the existing
 unchanged.
 """
 
+from .protocol import PROTOCOL
 from .router import ShardRouter, build_sharded_service
 from .transport import (
     Endpoint,
@@ -34,6 +35,7 @@ from .worker import (
 __all__ = [
     "ShardRouter",
     "build_sharded_service",
+    "PROTOCOL",
     "Message",
     "Endpoint",
     "Transport",

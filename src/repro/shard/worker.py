@@ -9,29 +9,13 @@ its own.  The same worker runs in-process today and inside a real
 child process behind the same message protocol, mirroring the
 experiment runner's serial/parallel split.
 
-Request kinds (coordinator → worker), with reply kinds in parentheses:
-
-============ =============================== ==========================
-kind         payload                         reply
-============ =============================== ==========================
-ingest       record array chunk              ok: records so far
-seal         leaf-target ``k``               sealed: shard size ``n``
-select       local 1-based rank array        records: record array
-range_count  ``(lo_key, hi_key)``            count: int
-part         key                             leaf: local leaf index
-nleaves      --                              nleaves: current leaf count
-pivots       ``n_pivots``                    pivots: candidate records
-io_stats     --                              io_stats: counter dict
-shutdown     --                              bye
-============ =============================== ==========================
-
-Every reply carries the worker's measured ``(reads, writes,
-comparisons)`` delta for receiving and handling the request (the
-reply's own transmission is charged separately), which the router
-feeds into per-shard I/O histograms — identically for in-process and
-process workers, since the numbers travel in the message envelope.
-A failing handler replies ``error`` with the exception text; pools
-surface that as :class:`ShardError` at the coordinator.
+The request/reply protocol is :data:`~repro.shard.protocol.PROTOCOL`:
+the worker dispatches through it and stamps each reply's kind from it,
+and both pools share one :meth:`request` path that rejects unknown
+kinds at the coordinator.  Every reply carries the worker's measured
+I/O delta, which the router feeds into per-shard I/O histograms —
+identically for in-process and process workers, since the numbers
+travel in the message envelope.
 """
 
 from __future__ import annotations
@@ -45,6 +29,7 @@ from ..em.machine import Machine
 from ..em.records import empty_records
 from ..em.streams import BlockWriter
 from ..service.online import LazyPartitionIndex
+from .protocol import ERROR, PROTOCOL
 from .transport import (
     TRANSPORTS,
     Message,
@@ -104,7 +89,7 @@ class ShardWorker:
             try:
                 kind, payload = self._handle(message)
             except Exception as exc:  # noqa: BLE001 - protocol boundary
-                kind, payload = "error", f"{type(exc).__name__}: {exc}"
+                kind, payload = ERROR, f"{type(exc).__name__}: {exc}"
         self._endpoint.send(
             Message(kind, payload, io=(cost.reads, cost.writes, cost.comparisons))
         )
@@ -115,55 +100,57 @@ class ShardWorker:
         while self.step():
             pass
 
-    # ------------------------------------------------------------------
-    # Handlers
-    # ------------------------------------------------------------------
     def _handle(self, message: Message) -> tuple[str, object]:
-        kind = message.kind
-        payload = message.payload
-        if kind == "ingest":
-            if self._writer is None:
-                self._writer = BlockWriter(self._machine, "shard-ingest")
-            self._writer.write(payload)
-            return "ok", self._writer.records_written
-        if kind == "seal":
-            if self._writer is None:
-                self._writer = BlockWriter(self._machine, "shard-ingest")
-            self._file = self._writer.close()
-            self._writer = None
-            self._engine = LazyPartitionIndex(
-                self._machine, self._file, k=max(1, int(payload))
+        request = PROTOCOL.get(message.kind)
+        if request is None:
+            raise ShardError(
+                f"shard {self.shard}: unknown request kind {message.kind!r}"
             )
-            return "sealed", len(self._file)
-        if kind == "io_stats":
-            return "io_stats", self._io_stats()
-        if kind == "shutdown":
-            self._done = True
-            self._teardown()
-            return "bye", None
-        engine = self._engine
-        if engine is None:
-            raise ShardError(f"shard {self.shard}: {kind!r} before seal")
-        if kind == "select":
-            ranks = np.asarray(payload, dtype=np.int64)
-            return "records", engine.batch_select(ranks)
-        if kind == "range_count":
-            lo, hi = payload
-            return "count", engine.range_count(int(lo), int(hi))
-        if kind == "part":
-            return "leaf", engine.partition_of(int(payload))
-        if kind == "nleaves":
-            return "nleaves", engine.n_leaves
-        if kind == "pivots":
-            n_pivots = int(payload)
-            if n_pivots < 1 or len(self._file) == 0:
-                return "pivots", empty_records(0)
-            return "pivots", approx_quantile_pivots(
-                self._machine, self._file, n_pivots
-            )
-        raise ShardError(f"shard {self.shard}: unknown request kind {kind!r}")
+        if request.sealed and self._engine is None:
+            raise ShardError(f"shard {self.shard}: {message.kind!r} before seal")
+        return request.reply, _HANDLERS[request.kind](self, message.payload)
 
-    def _io_stats(self) -> dict:
+    # ------------------------------------------------------------------
+    # Handlers (one per PROTOCOL row; each returns the reply payload)
+    # ------------------------------------------------------------------
+    def _ingest(self, records) -> int:
+        if self._writer is None:
+            self._writer = BlockWriter(self._machine, "shard-ingest")
+        self._writer.write(records)
+        return self._writer.records_written
+
+    def _seal(self, k) -> int:
+        if self._writer is None:
+            self._writer = BlockWriter(self._machine, "shard-ingest")
+        self._file = self._writer.close()
+        self._writer = None
+        self._engine = LazyPartitionIndex(self._machine, self._file, k=max(1, int(k)))
+        return len(self._file)
+
+    def _select(self, ranks) -> np.ndarray:
+        return self._engine.batch_select(np.asarray(ranks, dtype=np.int64))
+
+    def _range_count(self, bounds) -> int:
+        lo, hi = bounds
+        return self._engine.range_count(int(lo), int(hi))
+
+    def _part(self, key) -> int:
+        return self._engine.partition_of(int(key))
+
+    def _nleaves(self, _payload) -> int:
+        return self._engine.n_leaves
+
+    def _pivots(self, n_pivots) -> np.ndarray:
+        n_pivots = int(n_pivots)
+        if n_pivots < 1 or len(self._file) == 0:
+            return empty_records(0)
+        return approx_quantile_pivots(self._machine, self._file, n_pivots)
+
+    def _shutdown(self, _payload) -> None:
+        self._done = True
+        self._teardown()
+
+    def _io_stats(self, _payload) -> dict:
         m = self._machine
         return {
             "shard": self.shard,
@@ -195,10 +182,46 @@ class ShardWorker:
         self._machine.close()
 
 
+#: kind -> handler, resolved once: a PROTOCOL row naming a missing
+#: method fails at import, not on the first request of that kind.
+_HANDLERS = {
+    kind: getattr(ShardWorker, request.handler)
+    for kind, request in PROTOCOL.items()
+}
+
+
 # ----------------------------------------------------------------------
 # Worker pools
 # ----------------------------------------------------------------------
-class InProcessWorkerPool:
+class _WorkerPool:
+    """The coordinator side both pools share; subclasses supply
+    ``_exchange`` (deliver one request, return its reply)."""
+
+    _ends: list
+
+    @property
+    def nshards(self) -> int:
+        return len(self._ends)
+
+    def request(self, shard: int, kind: str, payload: object = None) -> Message:
+        """Send one request to ``shard`` and return the worker's reply.
+
+        A kind missing from :data:`~repro.shard.protocol.PROTOCOL`
+        raises :class:`ShardError` here, before anything is sent or
+        charged; an ``error`` reply raises it with the worker's message.
+        """
+        if kind not in PROTOCOL:
+            raise ShardError(f"shard {shard}: unknown request kind {kind!r}")
+        reply = self._exchange(shard, Message(kind, payload))
+        if reply.kind == ERROR:
+            raise ShardError(f"shard {shard}: {reply.payload}")
+        return reply
+
+    def _exchange(self, shard: int, message: Message) -> Message:
+        raise NotImplementedError  # pragma: no cover - abstract
+
+
+class InProcessWorkerPool(_WorkerPool):
     """Synchronous in-process workers: a request runs the worker's
     message loop inline.  ``transport`` selects reference-passing
     (``"inproc"``) or pickle-round-trip (``"serialized"``) links."""
@@ -234,20 +257,13 @@ class InProcessWorkerPool:
             self._ends.append(link.coordinator_end(coordinator))
             self._workers.append(worker)
 
-    @property
-    def nshards(self) -> int:
-        return len(self._workers)
-
-    def request(self, shard: int, kind: str, payload: object = None) -> Message:
+    def _exchange(self, shard: int, message: Message) -> Message:
         worker = self._workers[shard]
         if worker is None:
             raise ShardError(f"shard {shard} worker is dead")
-        self._ends[shard].send(Message(kind, payload))
+        self._ends[shard].send(message)
         worker.step()
-        reply = self._ends[shard].recv()
-        if reply.kind == "error":
-            raise ShardError(f"shard {shard}: {reply.payload}")
-        return reply
+        return self._ends[shard].recv()
 
     def kill(self, shard: int) -> None:
         """Chaos hook: make ``shard``'s worker unreachable, leaking its
@@ -286,7 +302,7 @@ def _process_worker_main(
         conn.close()
 
 
-class ProcessWorkerPool:
+class ProcessWorkerPool(_WorkerPool):
     """One OS process per shard over a duplex pipe.
 
     The child builds its own :class:`ShardWorker` (machine and all) and
@@ -328,22 +344,15 @@ class ProcessWorkerPool:
             )
             self._procs.append(proc)
 
-    @property
-    def nshards(self) -> int:
-        return len(self._procs)
-
-    def request(self, shard: int, kind: str, payload: object = None) -> Message:
+    def _exchange(self, shard: int, message: Message) -> Message:
         if self._procs[shard] is None:
             raise ShardError(f"shard {shard} worker is dead")
         try:
-            self._ends[shard].send(Message(kind, payload))
-            reply = self._ends[shard].recv()
+            self._ends[shard].send(message)
+            return self._ends[shard].recv()
         except (EOFError, BrokenPipeError, OSError) as exc:
             self._reap(shard)
             raise ShardError(f"shard {shard} worker died: {exc!r}") from exc
-        if reply.kind == "error":
-            raise ShardError(f"shard {shard}: {reply.payload}")
-        return reply
 
     def kill(self, shard: int) -> None:
         """Chaos hook: hard-kill the shard's process."""

@@ -183,9 +183,11 @@ class TestCounting:
                 assert d.phase_path == "outer/inner"
             assert d.phase_path == "outer"
         assert d.phase_path == ""
-        with pytest.raises(ValueError):
-            with d.phase("bad/label"):
-                pass
+        for bad in ("bad/label", "", "   ", "\t", None, 7):
+            with pytest.raises(ValueError):
+                with d.phase(bad):
+                    pass
+        assert d.phase_path == ""
 
     def test_reset_counters(self):
         d = Disk(8)

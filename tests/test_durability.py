@@ -22,7 +22,7 @@ Three layers of coverage:
 import numpy as np
 import pytest
 
-from repro.em import Machine, SpecError
+from repro.em import Machine, MemoryBudgetError, SpecError
 from repro.em.records import composite
 from repro.service import DurablePartitionIndex, PartitionIndex, recover
 from repro.workloads import load_input, random_permutation
@@ -141,6 +141,48 @@ class TestFlushExceptionSafety:
         assert index.n_live == 4097
         assert 777_777 in set(_live_keys(index).tolist())
         index.close()
+
+    def test_denied_scan_lease_keeps_the_delete(self):
+        # The victim scan cannot lease its block buffer: the delete is
+        # not applied and must stay buffered (it used to be dropped).
+        mach = _machine()
+        recs = random_permutation(4096, seed=8)
+        key = int(recs["key"][0])
+        index = _build_volatile(mach, recs)
+        index.delete(key)
+        # Flush frees the buffered op's record first, leaving B - 1.
+        with mach.memory.lease(mach.memory.available - (mach.B - 2), "hog"):
+            with pytest.raises(MemoryBudgetError, match="svc-delete-scan"):
+                index.flush_updates()
+        assert index.n_live == 4095
+        index.flush_updates()
+        assert key not in set(_live_keys(index).tolist())
+        assert index.n_live == 4095
+        index.check_invariants()
+        index.close()
+
+    def test_denied_tombstone_lease_leaves_delete_unapplied(self):
+        # The scan finds the victim but the resident lease cannot grow
+        # by the tombstone: nothing may be applied, or the delete would
+        # take effect without ever reaching the write-ahead log.
+        mach = _machine()
+        recs = random_permutation(4096, seed=9)
+        key = int(recs["key"][0])
+        index = _build_durable(mach, recs)
+        index.delete(key)
+        # Flush frees the buffered op's record (B left), the scan takes B.
+        with mach.memory.lease(mach.memory.available - (mach.B - 1), "hog"):
+            with pytest.raises(MemoryBudgetError, match="svc-resident"):
+                index.flush_updates()
+        assert index.n_live == 4095
+        index.flush_updates()
+        manifest = index.manifest_block
+        index.abandon()
+        rec = recover(mach, manifest)
+        assert rec.n_live == 4095
+        assert key not in set(_live_keys(rec).tolist())
+        rec.destroy()
+        mach.close()
 
     def test_interleaved_plan_matches_key_multiset_oracle(self):
         mach = _machine()

@@ -3,17 +3,25 @@ rule, the v2 whole-program layer (call graph, dataflow, cache), seeded
 defects the v1 heuristics missed, suppression directives and their edge
 cases, rule selection, report output, and the repo-wide gate itself.
 R7 (shard isolation) fixtures live with the subsystem they guard, in
-``tests/test_shard.py``.
+``tests/test_shard.py``.  R8 and R9 are retired; their classes here pin
+the structural checks that replaced them.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import textwrap
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro.shard as shard_pkg
+import repro.shard.worker as worker_mod
+from repro.bounds import formulas
+from repro.em.machine import Machine
 from repro.lint import (
     ALGORITHM_SUBSYSTEMS,
     EM_LAYER_SUBSYSTEMS,
@@ -31,6 +39,10 @@ from repro.lint import (
     lint_source,
     summarize_module,
 )
+from repro.obs import default_budgets_path
+from repro.obs.solvers import SOLVERS
+from repro.shard import PROTOCOL, InProcTransport, Message, ShardWorker
+from repro.shard.protocol import ERROR
 
 ALG_PATH = "repro/alg/fixture.py"
 
@@ -62,9 +74,12 @@ def _project_findings(files: dict, rule_id: str):
 
 
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
+    def test_all_seven_rules_registered(self):
+        # R8 (shard protocol) and R9 (solver registry) are retired: the
+        # protocol is one table both ends consume, a solver holds its
+        # formula callable, and Disk.phase rejects bad labels itself.
         assert [r.rule_id for r in all_rules()] == [
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
+            "R1", "R2", "R3", "R4", "R5", "R6", "R7",
         ]
 
     def test_get_rules_subset_and_case(self):
@@ -81,7 +96,6 @@ class TestRegistry:
     def test_project_rules_are_marked(self):
         scopes = {r.rule_id: r.scope for r in all_rules()}
         assert scopes["R3"] == scopes["R5"] == "project"
-        assert scopes["R8"] == scopes["R9"] == "project"
         assert scopes["R1"] == scopes["R4"] == "module"
 
     def test_layer_constants(self):
@@ -484,149 +498,79 @@ class TestR6KernelBypass:
         assert not _active(src, "tests/test_x.py", rules=get_rules(["R6"]))
 
 
-ROUTER_OK = """
-    class Router:
-        def _request(self, shard, kind, payload=None):
-            return send(shard, kind, payload)
-
-        def ingest(self, recs):
-            return self._request(0, "ingest", recs)
-    """
-
-WORKER_OK = """
-    class ShardWorker:
-        def _handle(self, kind, payload):
-            if kind == "ingest":
-                return ("ok", 1)
-            return ("error", "unknown")
-    """
-
-
 class TestR8ShardProtocol:
+    """R8 is retired: the protocol it cross-checked across the router,
+    the worker's dispatch chain and a docstring table is now the one
+    :data:`~repro.shard.protocol.PROTOCOL` table.  These pin the
+    invariants R8 policed against the code that now holds them."""
+
+    @staticmethod
+    def _worker():
+        coord = Machine(memory=512, block=16)
+        link = InProcTransport(0)
+        worker = ShardWorker(0, link, memory=512, block=16)
+        return coord, worker, link.coordinator_end(coord)
+
+    @staticmethod
+    def _ask(worker, end, kind, payload=None):
+        end.send(Message(kind, payload))
+        worker.step()
+        return end.recv()
+
     def test_conforming_protocol_is_clean(self):
-        assert not _project_findings(
-            {
-                "repro/shard/router.py": ROUTER_OK,
-                "repro/shard/worker.py": WORKER_OK,
-            },
-            "R8",
-        )
-
-    def test_seeded_defect_router_only_kind(self):
-        router = """
-            class Router:
-                def _request(self, shard, kind, payload=None):
-                    return send(shard, kind, payload)
-
-                def ingest(self, recs):
-                    return self._request(0, "ingest", recs)
-
-                def splitz(self):
-                    return self._request(0, "splitz", None)
-            """
-        findings = _project_findings(
-            {
-                "repro/shard/router.py": router,
-                "repro/shard/worker.py": WORKER_OK,
-            },
-            "R8",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "R8"
-        assert '"splitz"' in findings[0].message
-        assert findings[0].path == "repro/shard/router.py"
+        # Every row names its own ShardWorker method, and the shard
+        # modules lint clean under the surviving rules.
+        handlers = [r.handler for r in PROTOCOL.values()]
+        assert len(set(handlers)) == len(handlers)
+        for request in PROTOCOL.values():
+            assert callable(getattr(ShardWorker, request.handler)), request
+        report = lint_paths([Path(shard_pkg.__file__).parent])
+        assert report.findings == [], "\n" + report.render()
 
     def test_dead_handler_arm_flagged(self):
-        worker = """
-            class ShardWorker:
-                def _handle(self, kind, payload):
-                    if kind == "ingest":
-                        return ("ok", 1)
-                    if kind == "ghost":
-                        return ("gone", None)
-                    return ("error", "unknown")
-            """
-        findings = _project_findings(
-            {
-                "repro/shard/router.py": ROUTER_OK,
-                "repro/shard/worker.py": worker,
-            },
-            "R8",
-        )
-        assert len(findings) == 1
-        assert '"ghost"' in findings[0].message
-        assert "dead protocol arm" in findings[0].message
+        # The worker has no dispatch arm outside the table: a kind with
+        # no row, delivered past the coordinator's check, replies error.
+        coord, worker, end = self._worker()
+        reply = self._ask(worker, end, "ghost")
+        assert reply.kind == ERROR
+        assert "unknown request kind 'ghost'" in reply.payload
+        assert self._ask(worker, end, "shutdown").kind == "bye"
+        coord.close()
 
-    def test_doc_table_reply_mismatch_flagged(self):
-        worker = '''
-            """Worker.
-
-            ========  ========  ==========
-            kind      payload   reply
-            ========  ========  ==========
-            ingest    recs      done: n
-            ========  ========  ==========
-            """
-
-            class ShardWorker:
-                def _handle(self, kind, payload):
-                    if kind == "ingest":
-                        return ("ok", 1)
-                    return ("error", "unknown")
-            '''
-        findings = _project_findings(
-            {
-                "repro/shard/router.py": ROUTER_OK,
-                "repro/shard/worker.py": worker,
-            },
-            "R8",
-        )
-        assert any(
-            'says "ingest" replies "done"' in f.message for f in findings
-        )
-
-    def test_documented_but_unhandled_kind_flagged(self):
-        worker = '''
-            """Worker.
-
-            ========  ========  ==========
-            kind      payload   reply
-            ========  ========  ==========
-            ingest    recs      ok: n
-            seal      k         sealed: n
-            ========  ========  ==========
-            """
-
-            class ShardWorker:
-                def _handle(self, kind, payload):
-                    if kind == "ingest":
-                        return ("ok", 1)
-                    return ("error", "unknown")
-            '''
-        findings = _project_findings(
-            {
-                "repro/shard/router.py": ROUTER_OK,
-                "repro/shard/worker.py": worker,
-            },
-            "R8",
-        )
-        assert any(
-            'documents request kind "seal"' in f.message for f in findings
-        )
-
-    def test_inert_without_shard_modules(self):
-        assert not _project_findings({ALG_PATH: "x = 1\n"}, "R8")
+    def test_doc_table_reply_mismatch_flagged(self, monkeypatch):
+        # A handler returns only the payload; the reply kind comes from
+        # the table, so a handler cannot answer with another kind.
+        monkeypatch.setitem(worker_mod._HANDLERS, "ingest",
+                            lambda self, payload: ("done", 1))
+        coord, worker, end = self._worker()
+        reply = self._ask(worker, end, "ingest")
+        assert reply.kind == PROTOCOL["ingest"].reply == "ok"
+        assert reply.payload == ("done", 1)
+        assert self._ask(worker, end, "shutdown").kind == "bye"
+        coord.close()
+        # The documented table is rendered from PROTOCOL: each row's
+        # reply column in docs/API.md is the table's reply kind.
+        docs = Path(__file__).resolve().parents[1] / "docs"
+        api = (docs / "API.md").read_text()
+        rows = {
+            line.split("|")[1].strip(): line.split("|")[3].strip()
+            for line in api.splitlines()
+            if line.startswith("| `") and "ShardWorker." in line
+        }
+        assert rows == {f"`{k}`": f"`{r.reply}`" for k, r in PROTOCOL.items()}
 
 
 class TestR9RegistryConsistency:
+    """R9 is retired: a solver holds its formula callable, budgets.json
+    labels come from that callable, and ``Disk.phase`` rejects bad
+    labels itself.  These pin the invariants R9 policed."""
+
     def test_phase_label_with_slash_flagged(self):
-        src = """
-            def f(machine):
-                with machine.phase("partition/distribute"):
-                    pass
-            """
-        (finding,) = _active(src)
-        assert finding.rule == "R9" and "'/'" in finding.message
+        m = Machine(memory=512, block=16)
+        with pytest.raises(ValueError, match="without '/'"):
+            with m.phase("partition/distribute"):
+                pass
+        m.close()
 
     def test_phase_label_plain_is_clean(self):
         src = """
@@ -635,59 +579,30 @@ class TestR9RegistryConsistency:
                     pass
             """
         assert not _active(src)
-
-    def test_dynamic_phase_label_skipped(self):
-        src = """
-            def f(machine, label):
-                with machine.phase(label):
-                    pass
-            """
-        assert not _active(src)
+        m = Machine(memory=512, block=16)
+        with m.phase("distribute"):
+            assert m.disk.phase_path == "distribute"
+        m.close()
 
     def test_unknown_formula_reference_flagged(self):
-        findings = _project_findings(
-            {
-                "repro/obs/solvers.py": """
-                    SOLVERS = {
-                        "sort": Solver(name="sort", formula_name="missing_fn"),
-                    }
-                    """,
-                "repro/bounds/formulas.py": """
-                    def sort_io(n, m, b):
-                        return n
-                    """,
-            },
-            "R9",
-        )
-        assert len(findings) == 1
-        assert "missing_fn" in findings[0].message
-        assert findings[0].path == "repro/obs/solvers.py"
-
-    def test_composite_formula_expressions_resolve_per_identifier(self):
-        assert not _project_findings(
-            {
-                "repro/obs/solvers.py": """
-                    SOLVERS = {
-                        "p": Solver(name="p", formula_name="a_io + b_io"),
-                    }
-                    """,
-                "repro/bounds/formulas.py": """
-                    def a_io(n):
-                        return n
-
-                    def b_io(n):
-                        return n
-                    """,
-            },
-            "R9",
-        )
+        # A solver's formula is a repro.bounds.formulas function and its
+        # args bind to that function's parameters; args that do not
+        # bind fail when the bound is evaluated.
+        for solver in SOLVERS.values():
+            assert getattr(formulas, solver.formula.__name__) is solver.formula
+            inspect.signature(solver.formula).bind(*solver.args)
+            assert set(solver.args) <= set(solver.defaults), solver.name
+        sort = SOLVERS["sort"]
+        with pytest.raises(TypeError):
+            replace(sort, args=sort.args[:-1]).bound(sort.defaults)
 
     def test_repo_triangle_holds(self):
-        # The real registry: every solver has a budget envelope and a
-        # formula; every budget entry has a solver (R9 on the repo is
-        # part of the repo gate, this pins it directly).
-        report = lint_paths(rule_ids=["R9"])
-        assert report.findings == [], "\n" + report.render()
+        # SOLVERS <-> benchmarks/budgets.json <-> bounds.formulas: every
+        # solver has an envelope labeled with its formula's own name,
+        # and every envelope has a solver.
+        doc = json.loads(default_budgets_path().read_text())
+        labels = {name: e["formula"] for name, e in doc["budgets"].items()}
+        assert labels == {n: s.formula.__name__ for n, s in SOLVERS.items()}
 
 
 class TestCallGraphGolden:
@@ -752,10 +667,10 @@ class TestSuppression:
     def test_project_rule_findings_respect_suppressions(self):
         active, suppressed = _lint(
             "def f(machine):\n"
-            '    with machine.phase("a/b"):  # emlint: disable=R9\n'
-            "        pass\n"
+            '    lease = machine.memory.lease(8, "x")  # emlint: disable=R5\n'
+            "    return 1\n"
         )
-        assert not active and _rule_ids(suppressed) == ["R9"]
+        assert not active and _rule_ids(suppressed) == ["R5"]
 
 
 class TestSuppressionEdgeCases:

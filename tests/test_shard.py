@@ -29,11 +29,15 @@ from repro.lint import get_rules, lint_source
 from repro.obs import MetricsRegistry, Tracer, metrics_scope
 from repro.service import LazyPartitionIndex, Query, QueryFrontend
 from repro.shard import (
+    PROTOCOL,
+    InProcessWorkerPool,
     InProcTransport,
     Message,
     SerializedTransport,
     ShardError,
+    ShardWorker,
     build_sharded_service,
+    make_pool,
 )
 from repro.workloads import load_input
 from repro.workloads.generators import random_permutation
@@ -291,6 +295,72 @@ class TestDifferential:
             build_sharded_service(coord, f, shards=2, k=0)
         f.free()
         coord.close()
+
+
+# ----------------------------------------------------------------------
+# The request protocol table
+# ----------------------------------------------------------------------
+class TestProtocol:
+    @pytest.mark.parametrize("workers", ["inproc", "process"])
+    def test_unknown_kind_rejected_at_coordinator(self, workers):
+        coord = Machine(memory=512, block=16)
+        pool = make_pool(workers, coord, 2, shard_memory=512, shard_block=16)
+        try:
+            before = (coord.io.reads, coord.io.writes, coord.comparisons)
+            with pytest.raises(ShardError, match="unknown request kind 'bogus'"):
+                pool.request(1, "bogus")
+            assert (coord.io.reads, coord.io.writes, coord.comparisons) == before
+            # Nothing was sent, so the link's sequence numbers still agree.
+            assert pool.request(1, "io_stats").kind == "io_stats"
+        finally:
+            pool.close()
+        coord.close()
+
+    def test_query_before_seal_replies_error(self):
+        coord = Machine(memory=512, block=16)
+        link = InProcTransport(0)
+        worker = ShardWorker(0, link, memory=512, block=16)
+        end = link.coordinator_end(coord)
+        payloads = {"select": np.array([1]), "range_count": (0, 5), "part": 3}
+        for kind, request in PROTOCOL.items():
+            if not request.sealed:
+                continue
+            end.send(Message(kind, payloads.get(kind, 1)))
+            worker.step()
+            reply = end.recv()
+            assert reply.kind == "error", kind
+            assert "before seal" in reply.payload
+        end.send(Message("seal", 4))
+        worker.step()
+        assert end.recv().kind == "sealed"
+        end.send(Message("shutdown"))
+        assert not worker.step()
+        assert end.recv().kind == "bye"
+        coord.close()
+
+    def test_round_trip_sends_exactly_the_table(self, monkeypatch):
+        exchanged = []
+        exchange = InProcessWorkerPool._exchange
+
+        def recording(pool, shard, message):
+            reply = exchange(pool, shard, message)
+            exchanged.append((message.kind, reply.kind))
+            return reply
+
+        monkeypatch.setattr(InProcessWorkerPool, "_exchange", recording)
+        coord = Machine(memory=512, block=16)
+        f = load_input(coord, random_permutation(1024, seed=2))
+        with build_sharded_service(coord, f, shards=3, k=16) as router:
+            router.batch_select(np.arange(1, 1025, 97, dtype=np.int64))
+            router.range_count(10, 900)
+            router.partition_of(700)
+            router.splitter_candidates(4)
+            router.shard_io_stats()
+        f.free()
+        coord.close()
+        assert {kind for kind, _ in exchanged} == set(PROTOCOL)
+        for kind, reply in exchanged:
+            assert reply == PROTOCOL[kind].reply
 
 
 # ----------------------------------------------------------------------
