@@ -27,7 +27,8 @@ from repro.alg import (
     select_rank_fast,
 )
 from repro.core import intermixed_select, memory_splitters, multi_select
-from repro.em import Machine, composite, scan_chunks
+from repro.alg.sort import merge_fanout
+from repro.em import BlockWriter, EMFile, Machine, composite, merge_sorted_files, scan_chunks
 from repro.em.records import make_records, sort_records
 from repro.workloads import load_input, random_permutation
 
@@ -81,6 +82,34 @@ def test_micro_external_sort(benchmark):
         outs.append(out)
         return out
     _run(benchmark, mach, task)
+    for out in outs:
+        out.free()
+
+
+def test_micro_merge_runs(benchmark):
+    """One full-fanout merge of 31 pre-formed sorted runs (M=4096, B=64):
+    exactly one read per input block and one write per output block."""
+    mach, recs, _ = _machine_and_input(10)
+    k = merge_fanout(mach)
+    assert k == 31
+    runs = [
+        EMFile.from_records(mach, sort_records(part), counted=False)
+        for part in np.array_split(recs, k)
+    ]
+    in_blocks = sum(r.num_blocks for r in runs)
+    outs = []
+    def task():
+        with BlockWriter(mach, "merge-out") as writer:
+            merge_sorted_files(mach, runs, writer)
+            out = writer.close()
+        outs.append(out)
+        return out
+    _run(benchmark, mach, task)
+    out = outs[-1]
+    assert np.array_equal(composite(out.to_numpy()), np.sort(composite(recs)))
+    assert mach.io.reads == in_blocks
+    assert mach.io.writes == out.num_blocks
+    benchmark.extra_info["runs"] = k
     for out in outs:
         out.free()
 

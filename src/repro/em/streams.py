@@ -7,8 +7,10 @@ These are the only building blocks algorithms need for sequential I/O:
 * :func:`scan_chunks` — scan a file in memory-sized chunks (run formation,
   chunk sampling); returns a close-aware :class:`ChunkScanner`;
 * :func:`merge_sorted_files` — k-way merge of sorted files using the
-  block-frontier technique (vectorized; still one read per block and one
-  write per output block, exactly as the model counts);
+  block-frontier technique: each loaded block's composite keys are
+  computed once and cached, and each step gathers its records with one
+  vectorized select (still one read per block and one write per output
+  block, exactly as the model counts);
 * :func:`copy_file` — linear-I/O file copy.
 
 Every stream leases its buffer space from the machine's
@@ -19,7 +21,7 @@ All streams move data through the disk's batched fast path
 (:meth:`~repro.em.disk.Disk.read_many` / ``write_many``) — one numpy
 concatenation per chunk instead of one Python call per block — while
 charging exactly the same per-block model cost.  Record concatenation
-and merge ordering dispatch through the machine's
+and each merge step's ordering dispatch through the machine's
 :attr:`~repro.em.machine.Machine.kernel` backend, so a backend swap
 changes wall-clock behaviour only.
 """
@@ -229,13 +231,39 @@ def scan_chunks(file: EMFile, chunk_records: int, label: str = "chunk") -> Chunk
     return ChunkScanner(file, chunk_records, label)
 
 
+#: Key of a spent (consumed or never filled) merge workspace slot.
+#: Composites stay below ``2**62``, so no record's key can reach it.
+_SPENT = np.iinfo(np.int64).max
+#: Floor a run's first block is checked against.
+_FLOOR = np.iinfo(np.int64).min
+
+
+def _check_run_order(run: int, keys: np.ndarray, floor: int) -> None:
+    """Sanitize-mode guard: ``keys`` (one run's next records) must be
+    non-decreasing and start at or above ``floor``, the run's previous
+    tail.  Raises :class:`StreamError` naming the run."""
+    if keys[0] < floor or np.any(keys[1:] < keys[:-1]):
+        raise StreamError(f"merge input run {run} is not sorted by composite order")
+
+
 def merge_sorted_files(machine: "Machine", files: list[EMFile], writer: BlockWriter) -> None:
     """Merge sorted ``files`` into ``writer`` (k-way, block-frontier method).
 
-    Each input file must be sorted by composite order.  Memory use: one
-    block buffer per input plus a gather workspace of up to ``k*B`` records
-    (leased); the caller's writer holds its own block.  Choose
-    ``k <= (M - 2B) / (2B)`` to be safe.
+    Each input file must be sorted by composite order; in sanitize mode a
+    block that breaks its run's order raises :class:`StreamError` before
+    any of its records is emitted.  Memory use: a lease of ``2kB`` records
+    (one block slot per input plus a gather workspace); the caller's
+    writer holds its own block, so ``k`` may be at most
+    :func:`repro.alg.sort.merge_fanout`.
+
+    The ``k`` block slots share one ``k·B`` workspace with a parallel
+    composite-key array, filled once per loaded block; spent slots hold a
+    sentinel above every composite.  Each step emits every buffered
+    record ``<=`` the smallest run maximum with one vectorized select
+    (flat order is run order, then record order), orders it through
+    ``machine.kernel`` and refills the drained runs in ascending run
+    index.  Future blocks of a run are ``>=`` its buffered maximum, so
+    every record ``<=`` that threshold is buffered.
 
     I/O cost: exactly one read per input block and one write per output
     block — the textbook merge cost.
@@ -244,53 +272,64 @@ def merge_sorted_files(machine: "Machine", files: list[EMFile], writer: BlockWri
     if k == 0:
         return
     B = machine.B
+    check = machine.sanitize
     lease = machine.memory.lease(2 * k * B, "merge-buffers")
     try:
-        buffers: list[np.ndarray] = []
-        next_block: list[int] = []
-        for f in files:
+        slots = empty_records(k * B)
+        keys = np.full(k * B, _SPENT, dtype=np.int64)
+        tails = np.full(k, _SPENT, dtype=np.int64)
+        next_block = [0] * k
+
+        def load(i: int, floor: int) -> None:
+            block = files[i].read_block(next_block[i])
+            next_block[i] += 1
+            block_keys = composite(block)
+            if check:
+                _check_run_order(i, block_keys, floor)
+            lo = i * B
+            slots[lo : lo + len(block)] = block
+            keys[lo : lo + len(block)] = block_keys
+            # The max, not the last key: on unsorted input (lenient mode)
+            # a run then still drains only once every record is taken.
+            tails[i] = block_keys.max()
+
+        live = 0
+        for i, f in enumerate(files):
             if f.num_blocks:
-                buffers.append(f.read_block(0))
-                next_block.append(1)
-            else:
-                buffers.append(empty_records(0))
-                next_block.append(f.num_blocks)
-        while True:
-            # Refill any empty buffer that still has blocks.
-            for i, f in enumerate(files):
-                if len(buffers[i]) == 0 and next_block[i] < f.num_blocks:
-                    buffers[i] = f.read_block(next_block[i])
-                    next_block[i] += 1
-            active = [i for i in range(k) if len(buffers[i])]
-            if not active:
-                break
-            if len(active) == 1:
-                # Single survivor: stream the rest through unchanged,
-                # batching reads up to the k-block gather workspace the
-                # lease already covers.
-                i = active[0]
-                writer.write(buffers[i])
-                buffers[i] = empty_records(0)
-                f = files[i]
-                while next_block[i] < f.num_blocks:
-                    stop = min(next_block[i] + k, f.num_blocks)
-                    writer.write(f.read_range(next_block[i], stop))
-                    next_block[i] = stop
-                break
-            # Emit everything <= the smallest frontier maximum.  Future
-            # blocks of every run are >= that run's buffered maximum, so all
-            # records <= threshold are currently buffered.
-            threshold = min(int(composite(buffers[i][-1:])[0]) for i in active)
-            gathered: list[np.ndarray] = []
-            for i in active:
-                comps = composite(buffers[i])
-                cut = int(np.searchsorted(comps, threshold, side="right"))
-                if cut:
-                    gathered.append(buffers[i][:cut])
-                    buffers[i] = buffers[i][cut:]
-            out = machine.kernel.concat(gathered)
-            cmp_search(machine, len(out), len(active))
+                load(i, _FLOOR)
+                live += 1
+        while live > 1:
+            threshold = tails.min()
+            taken = np.flatnonzero(keys <= threshold)
+            out = slots[taken]
+            keys[taken] = _SPENT
+            cmp_search(machine, len(out), live)
             writer.write(machine.kernel.sort_by_composite(out))
+            for i in np.flatnonzero(tails <= threshold).tolist():
+                floor = int(tails[i])
+                tails[i] = _SPENT
+                if next_block[i] < files[i].num_blocks:
+                    load(i, floor)
+                else:
+                    live -= 1
+        if live == 1:
+            # Single survivor: stream the rest through unchanged,
+            # batching reads up to the k-block gather workspace the
+            # lease already covers.
+            i = int(np.flatnonzero(tails != _SPENT)[0])
+            lo = i * B
+            writer.write(slots[lo : lo + B][keys[lo : lo + B] != _SPENT])
+            floor = int(tails[i])
+            f = files[i]
+            while next_block[i] < f.num_blocks:
+                stop = min(next_block[i] + k, f.num_blocks)
+                chunk = f.read_range(next_block[i], stop)
+                if check:
+                    chunk_keys = composite(chunk)
+                    _check_run_order(i, chunk_keys, floor)
+                    floor = int(chunk_keys[-1])
+                writer.write(chunk)
+                next_block[i] = stop
     finally:
         lease.release()
 

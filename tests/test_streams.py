@@ -1,10 +1,13 @@
 """Unit and property tests for buffered streams and the k-way merge."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.alg import external_sort
 from repro.em import (
     BlockReader,
     BlockWriter,
@@ -16,7 +19,8 @@ from repro.em import (
     merge_sorted_files,
     scan_chunks,
 )
-from repro.em.records import make_records, sort_records
+from repro.em.comparisons import cmp_search
+from repro.em.records import empty_records, make_records, sort_records
 
 
 @pytest.fixture
@@ -261,6 +265,195 @@ class TestMergeSortedFiles:
         parts = [recs(0), recs(10), recs(0)]
         merged = self._merge(mach, parts)
         assert len(merged) == 10
+
+
+def _reference_merge(machine, files, writer):
+    """The per-step frontier merge ``merge_sorted_files`` replaced, kept
+    as its differential oracle: every step recomputes each buffered
+    block's composites, cuts each run with one ``searchsorted`` and
+    concatenates the cuts in run order."""
+    k = len(files)
+    if k == 0:
+        return
+    B = machine.B
+    lease = machine.memory.lease(2 * k * B, "merge-buffers")
+    try:
+        buffers = []
+        next_block = []
+        for f in files:
+            if f.num_blocks:
+                buffers.append(f.read_block(0))
+                next_block.append(1)
+            else:
+                buffers.append(empty_records(0))
+                next_block.append(f.num_blocks)
+        while True:
+            for i, f in enumerate(files):
+                if len(buffers[i]) == 0 and next_block[i] < f.num_blocks:
+                    buffers[i] = f.read_block(next_block[i])
+                    next_block[i] += 1
+            active = [i for i in range(k) if len(buffers[i])]
+            if not active:
+                break
+            if len(active) == 1:
+                i = active[0]
+                writer.write(buffers[i])
+                buffers[i] = empty_records(0)
+                f = files[i]
+                while next_block[i] < f.num_blocks:
+                    stop = min(next_block[i] + k, f.num_blocks)
+                    writer.write(f.read_range(next_block[i], stop))
+                    next_block[i] = stop
+                break
+            threshold = min(int(composite(buffers[i][-1:])[0]) for i in active)
+            gathered = []
+            for i in active:
+                comps = composite(buffers[i])
+                cut = int(np.searchsorted(comps, threshold, side="right"))
+                if cut:
+                    gathered.append(buffers[i][:cut])
+                    buffers[i] = buffers[i][cut:]
+            out = machine.kernel.concat(gathered)
+            cmp_search(machine, len(out), len(active))
+            writer.write(machine.kernel.sort_by_composite(out))
+    finally:
+        lease.release()
+
+
+def _observed(mach, run):
+    """Run ``run()`` (returns an EMFile) on a counted, traced machine and
+    return everything the model measures about it."""
+    mach.reset_counters()
+    mach.memory.reset_peak()
+    mach.disk.start_trace()
+    out = run()
+    trace = mach.disk.stop_trace()
+    c = mach.snapshot()
+    return (
+        out.to_numpy().tobytes(),
+        trace,
+        (c.reads, c.writes, dict(c.by_phase)),
+        mach.comparisons,
+        mach.memory.peak,
+        mach.disk.peak_blocks,
+    )
+
+
+@st.composite
+def _merge_inputs(draw):
+    """k sorted runs over a shared pool of (key, uid) pairs, so equal
+    composites recur across runs with a different ``grp`` (the layout
+    multi-selection's ``msel-D`` files produce), plus empty runs and
+    partial last blocks."""
+    B = draw(st.sampled_from([1, 2, 3, 8]))
+    k = draw(st.integers(1, 6))
+    pool = draw(st.integers(1, 24))
+    keys = np.array(draw(st.lists(st.integers(-5, 5), min_size=pool, max_size=pool)))
+    runs = []
+    for run in range(k):
+        picks = draw(st.lists(st.integers(0, pool - 1), max_size=5 * B + 3))
+        part = make_records(keys[picks], uids=np.array(picks, dtype=np.int64), grps=run)
+        runs.append(sort_records(part))
+    return B, runs
+
+
+class TestMergeDifferential:
+    """The vectorized merge against :func:`_reference_merge`: output
+    bytes, access trace, counters by phase, comparisons and memory and
+    disk peaks must all be identical."""
+
+    @staticmethod
+    def _merge_run(merge, B, runs, sanitize):
+        k = len(runs)
+        mach = Machine(memory=(2 * k + 1) * B, block=B, sanitize=sanitize)
+        files = [EMFile.from_records(mach, r, counted=False) for r in runs]
+
+        def run():
+            with BlockWriter(mach, "merge-out") as w:
+                with mach.phase("merge"):
+                    merge(mach, files, w)
+                return w.close()
+
+        return _observed(mach, run)
+
+    @staticmethod
+    def _sort_run(merge, B, records, fanout, sanitize):
+        mach = Machine(memory=16 * B, block=B, sanitize=sanitize)
+        f = EMFile.from_records(mach, records, counted=False)
+        with mock.patch("repro.alg.sort.merge_sorted_files", merge):
+            return _observed(mach, lambda: external_sort(mach, f, fanout))
+
+    @given(inputs=_merge_inputs(), sanitize=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_merge_matches_reference(self, inputs, sanitize):
+        B, runs = inputs
+        new = self._merge_run(merge_sorted_files, B, runs, sanitize)
+        ref = self._merge_run(_reference_merge, B, runs, sanitize)
+        assert new == ref
+
+    @given(
+        inputs=_merge_inputs(),
+        fanout=st.sampled_from([2, 3, None]),
+        sanitize=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_external_sort_matches_reference(self, inputs, fanout, sanitize, seed):
+        B, runs = inputs
+        records = np.concatenate(runs)
+        records = records[np.random.default_rng(seed).permutation(len(records))]
+        new = self._sort_run(merge_sorted_files, B, records, fanout, sanitize)
+        ref = self._sort_run(_reference_merge, B, records, fanout, sanitize)
+        assert new == ref
+
+
+class TestMergeSanitize:
+    """Sanitize mode rejects merge input that is not sorted by composite
+    order, before any record of the offending block is emitted, and
+    releases the merge lease."""
+
+    @staticmethod
+    def _merge_raw(mach, runs):
+        files = [EMFile.from_records(mach, r, counted=False) for r in runs]
+        writer = BlockWriter(mach)
+        try:
+            with pytest.raises(StreamError, match="run 1"):
+                merge_sorted_files(mach, files, writer)
+            return writer.records_written
+        finally:
+            writer.abort()
+            assert mach.memory.in_use == 0
+
+    def test_unsorted_block_raises(self):
+        mach = Machine(memory=256, block=8, sanitize=True)
+        bad = recs(8)[::-1].copy()
+        assert self._merge_raw(mach, [recs(8), bad]) == 0
+
+    def test_block_below_previous_tail_raises(self):
+        mach = Machine(memory=256, block=8, sanitize=True)
+        # Run 1's second block restarts below its first block's tail.
+        bad = make_records(np.r_[np.arange(10, 18), np.arange(0, 8)], uids=np.arange(16))
+        written = self._merge_raw(mach, [recs(16, 100), bad])
+        assert written == 8
+
+    def test_unsorted_survivor_raises(self):
+        mach = Machine(memory=256, block=8, sanitize=True)
+        # Run 0 drains first; run 1 then streams alone through the
+        # batched survivor path, whose first two-block read holds an
+        # out-of-order third block: only the buffered block is emitted.
+        bad = make_records(np.r_[np.arange(0, 16), np.arange(0, 8)], uids=np.arange(24) + 50)
+        written = self._merge_raw(mach, [recs(8, -100), bad])
+        assert written == 16
+
+    def test_lenient_mode_keeps_every_record(self):
+        mach = Machine(memory=256, block=8, sanitize=False)
+        bad = make_records(np.r_[np.arange(10, 18), np.arange(7, -1, -1)], uids=np.arange(16))
+        files = [EMFile.from_records(mach, r, counted=False) for r in (recs(12, 100), bad)]
+        with BlockWriter(mach) as w:
+            merge_sorted_files(mach, files, w)
+            out = w.close().to_numpy()
+        expected = np.concatenate([recs(12, 100), bad])
+        assert np.array_equal(np.sort(composite(out)), np.sort(composite(expected)))
 
 
 class TestCopyFile:
