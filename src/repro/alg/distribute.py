@@ -25,19 +25,7 @@ from ..em.streams import BlockWriter, scan_chunks
 if TYPE_CHECKING:  # pragma: no cover
     from ..em.machine import Machine
 
-__all__ = ["bucket_indices", "distribute_by_pivots"]
-
-
-def bucket_indices(records: np.ndarray, pivot_composites: np.ndarray) -> np.ndarray:
-    """Bucket index of each record: ``#{pivots < record}``.
-
-    ``pivot_composites`` must be sorted ascending.  A record equal to pivot
-    ``p_i`` lands in bucket ``i`` (the half-open convention ``(p_{i-1}, p_i]``).
-    """
-    # Exported API with no in-package callers (tests and kernel backends
-    # use it directly), so caller-side charging is invisible to the call
-    # graph; each caller pairs it with cmp_search.
-    return np.searchsorted(pivot_composites, composite(records), side="left")  # emlint: disable=R3
+__all__ = ["distribute_by_pivots"]
 
 
 def distribute_by_pivots(

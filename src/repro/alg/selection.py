@@ -22,7 +22,8 @@ import numpy as np
 from ..em.comparisons import cmp_linear, cmp_median5
 from ..em.errors import SpecError
 from ..em.file import EMFile
-from ..em.records import composite, composite_of, sort_records
+from ..em.kernels import get_kernel
+from ..em.records import composite, composite_of
 from ..em.streams import BlockReader, BlockWriter, scan_chunks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +44,7 @@ def _group_medians(chunk: np.ndarray) -> np.ndarray:
         parts.append(med)
     rest = chunk[full:]
     if len(rest):
-        rest = sort_records(rest)  # emlint: disable=R6 — no machine in scope for a kernel call; ≤4 records (R3 cleared by dataflow: callers charge cmp_median5)
+        rest = get_kernel().sort_by_composite(rest)
         parts.append(rest[(len(rest) - 1) // 2 : (len(rest) - 1) // 2 + 1])
     if not parts:
         return chunk[:0]

@@ -1234,33 +1234,6 @@ def _bench_queries_sharded(args) -> int:
     return 0 if passed else 1
 
 
-def _cmd_bench_kernels(args) -> int:
-    from .em.kernels.bench import bench_kernels, render_bench
-    from .experiments.runner import default_out_dir
-
-    if args.quick:
-        result = bench_kernels(n_blocks=2048, n_buckets=2000, reps=2)
-    else:
-        result = bench_kernels(
-            n_blocks=args.blocks, n_buckets=args.buckets, reps=args.reps
-        )
-    text = render_bench(result)
-    print(text)
-    out = Path(args.out) if args.out else (
-        default_out_dir() / "KERNEL_BACKEND.txt"
-    )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text + "\n")
-    print(f"\nwrote {out}")
-    speedup = result.speedup("vectorized_v2")
-    passed = result.identical and speedup >= args.min_speedup
-    print(
-        f"acceptance (identical outputs, >= {args.min_speedup:.0f}x): "
-        f"{'PASS' if passed else 'FAIL'}"
-    )
-    return 0 if passed else 1
-
-
 def _cmd_report(args) -> int:
     from .experiments.report_all import DEFAULT_ORDER, generate_experiments_md
     from .experiments.runner import (
@@ -1632,27 +1605,6 @@ def main(argv: list[str] | None = None) -> int:
         "(the text record file is still written)",
     )
 
-    kern_p = sub.add_parser(
-        "bench-kernels",
-        help="benchmark the kernel backends against each other",
-    )
-    kern_p.add_argument(
-        "--quick", action="store_true",
-        help="small instance (2048 blocks) for CI smoke runs",
-    )
-    kern_p.add_argument("--blocks", type=int, default=8192,
-                        help="disk image size in blocks")
-    kern_p.add_argument("--buckets", type=int, default=2000,
-                        help="distribution fanout for the grouping op")
-    kern_p.add_argument("--reps", type=int, default=3,
-                        help="repetitions per primitive")
-    kern_p.add_argument("--min-speedup", type=float, default=5.0,
-                        help="acceptance threshold for vectorized_v2")
-    kern_p.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="record file (default benchmarks/out/KERNEL_BACKEND.txt)",
-    )
-
     args = parser.parse_args(argv)
     if args.command == "budgets" and args.headroom is None:
         from .obs.budget import DEFAULT_HEADROOM
@@ -1688,8 +1640,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_query(args)
     if args.command == "bench-queries":
         return _cmd_bench_queries(args)
-    if args.command == "bench-kernels":
-        return _cmd_bench_kernels(args)
     parser.print_help()
     return 2
 

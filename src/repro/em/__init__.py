@@ -25,14 +25,7 @@ from .errors import (
     UseAfterFreeError,
 )
 from .file import EMFile
-from .kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KernelBackend,
-    available_kernels,
-    get_kernel,
-    register_kernel,
-)
+from .kernels import Kernel, get_kernel
 from .machine import (
     Machine,
     MemoryAccountant,
@@ -76,12 +69,8 @@ __all__ = [
     "MemoryAccountant",
     "MemoryLease",
     "observe_machines",
-    "KernelBackend",
-    "KERNEL_ENV",
-    "DEFAULT_KERNEL",
-    "available_kernels",
+    "Kernel",
     "get_kernel",
-    "register_kernel",
     "Disk",
     "IOCounters",
     "EMFile",

@@ -16,10 +16,10 @@ granularity by these helpers:
 The counts are *model costs of the operations actually executed*, so
 they are exact for the decision-tree arguments; they live on the
 :class:`~repro.em.machine.Machine` and reset with the I/O counters.
-Charging stays deliberately outside the :mod:`~repro.em.kernels`
-backends: algorithms charge here and then move bytes through
-``machine.kernel``, so switching backends can never change what is
-counted.
+Charging stays deliberately outside :mod:`~repro.em.kernels`:
+algorithms charge here and then move bytes through ``machine.kernel``,
+so substituting the differential tests' reference kernel can never
+change what is counted.
 """
 
 from __future__ import annotations

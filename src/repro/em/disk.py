@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,10 +34,8 @@ from .errors import (
     UninitializedReadError,
     UseAfterFreeError,
 )
+from .kernels import Kernel, get_kernel
 from .records import RECORD_DTYPE
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .kernels import KernelBackend
 
 __all__ = ["Disk", "IOCounters"]
 
@@ -106,17 +104,15 @@ class Disk:
         block_size: int,
         *,
         sanitize: bool = False,
-        kernel: "KernelBackend | None" = None,
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self._B = int(block_size)
-        # Data-movement backend for the batched paths.  Accounting never
-        # moves into the kernel: the disk validates, charges, and traces,
-        # then hands the pure byte-shuffling to the backend.
-        from .kernels import get_kernel
-
-        self._kernel = get_kernel(kernel)
+        # Data-movement kernel for the batched paths, resolved now so a
+        # test can substitute the reference for a whole run.  Accounting
+        # never moves into the kernel: the disk validates, charges, and
+        # traces, then hands the pure byte-shuffling to the kernel.
+        self._kernel = get_kernel()
         # Strict sanitizer mode: track freed / written block ids so
         # use-after-free, double-free, and reads of never-written blocks
         # raise specific SanitizerErrors instead of the generic (or no)
@@ -172,8 +168,8 @@ class Disk:
         return self._sanitize
 
     @property
-    def kernel(self) -> "KernelBackend":
-        """The data-movement backend serving the batched paths."""
+    def kernel(self) -> Kernel:
+        """The data-movement kernel serving the batched paths."""
         return self._kernel
 
     def _check_block(self, block_id: int, *, for_read: bool) -> None:
@@ -439,8 +435,7 @@ class Disk:
         :attr:`read_block_ids`, trace entries — are *identical* to ``k``
         successive :meth:`read` calls; only the Python-level overhead
         differs.  The byte shuffling itself is delegated to the
-        machine's :attr:`kernel` backend once validation and charging
-        are done.
+        :attr:`kernel` once validation and charging are done.
 
         All ids are validated before any accounting happens, so a bad id
         raises without charging anything.  ``block_ids`` may be any
@@ -471,9 +466,9 @@ class Disk:
         exactly ``B`` records each and the last block the (non-empty)
         remainder — the :class:`~repro.em.file.EMFile` layout.  Cost and
         accounting are identical to ``k`` successive :meth:`write`
-        calls; the stores themselves go through the :attr:`kernel`
-        backend.  All ids and the payload shape are validated before any
-        block is touched or charged (atomic, like :meth:`free`).
+        calls; the stores themselves go through the :attr:`kernel`.  All
+        ids and the payload shape are validated before any block is
+        touched or charged (atomic, like :meth:`free`).
         ``block_ids`` may be any sequence of ids, including a numpy
         integer array.
         """

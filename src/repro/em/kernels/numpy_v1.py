@@ -1,17 +1,20 @@
-"""``numpy_v1`` — the plain per-block reference backend.
+"""``numpy_v1`` — the per-block reference for the differential tests.
 
 This is the straightforward numpy strategy the simulator's hot paths
-used before batching landed, preserved verbatim as the *reference*
-backend: one copy per block on gather/scatter (exactly what ``k``
-successive :meth:`Disk.read <repro.em.disk.Disk.read>` /
+used before batching landed, kept as the *reference* the shared
+:class:`~repro.em.kernels.Kernel` is proven against: one copy per block
+on gather/scatter (exactly what ``k`` successive
+:meth:`Disk.read <repro.em.disk.Disk.read>` /
 :meth:`Disk.write <repro.em.disk.Disk.write>` calls do),
-``np.concatenate`` for record concatenation (which re-promotes the
-structured field dtypes per input part), and one boolean-mask pass per
-bucket when grouping a chunk for distribution.
+``np.concatenate`` for record concatenation, and one boolean-mask pass
+per bucket when grouping a chunk for distribution.  It overrides the
+four movement ops and nothing else.
 
-Every operation is simple enough to audit at a glance, which is the
-point: the differential harness proves ``vectorized_v2`` byte-identical
-to *this* backend, so v1's auditability transfers to v2's speed.
+No name, environment variable or argument selects it.  It has two
+users: ``tests/test_kernels.py``, whose differential runs install it in
+place of the shared kernel (the seam is ``kernel_side`` in
+``tests/conftest.py``), and the speed gate
+``benchmarks/test_kernel_backend.py``.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..records import RECORD_DTYPE
-from .base import KernelBackend
+from . import Kernel
 
 __all__ = ["NumpyV1Kernel"]
 
 
-class NumpyV1Kernel(KernelBackend):
-    """Per-block reference backend (audit-friendly, no layout tricks)."""
+class NumpyV1Kernel(Kernel):
+    """Per-block reference (audit-friendly, no layout tricks)."""
 
     name = "numpy_v1"
 
@@ -67,6 +70,6 @@ class NumpyV1Kernel(KernelBackend):
         self, records: np.ndarray, bucket_idx: np.ndarray
     ) -> Iterable[tuple[int, np.ndarray]]:
         # One boolean mask per occupied bucket; masks preserve input
-        # order, so groups match the fused backend byte for byte.
+        # order, so groups match the fused kernel byte for byte.
         for b in np.unique(bucket_idx):
             yield int(b), records[bucket_idx == b]

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from .disk import Disk, IOCounters
-from .kernels import KernelBackend, get_kernel
+from .kernels import Kernel
 from .errors import (
     DoubleReleaseError,
     LeaseError,
@@ -229,6 +229,10 @@ class MemoryAccountant:
 class Machine:
     """An external-memory machine with memory ``M`` and block size ``B``.
 
+    Record movement goes through the one shared
+    :class:`~repro.em.kernels.Kernel` (:attr:`kernel`); there is nothing
+    to select.
+
     Parameters
     ----------
     memory:
@@ -243,15 +247,6 @@ class Machine:
         counter-conservation checking in the span tracer.  ``None`` (the
         default) inherits the process-wide :func:`sanitize_default`
         (the ``EM_SANITIZE`` environment variable).
-    kernel:
-        Data-movement backend for the hot paths: a registered backend
-        name (``"numpy_v1"``, ``"vectorized_v2"``), a
-        :class:`~repro.em.kernels.KernelBackend` instance, or ``None``
-        (the default) to resolve the ``EM_KERNEL`` environment variable
-        and fall back to :data:`~repro.em.kernels.DEFAULT_KERNEL`.
-        Backends are byte- and counter-identical by contract; the choice
-        only affects wall-clock speed and is recorded in trace metadata
-        and ``results.json``.
 
     Examples
     --------
@@ -267,7 +262,6 @@ class Machine:
         block: int,
         *,
         sanitize: bool | None = None,
-        kernel: "str | KernelBackend | None" = None,
         label: str = "",
     ) -> None:
         if block < 1:
@@ -280,7 +274,7 @@ class Machine:
         if sanitize is None:
             sanitize = sanitize_default()
         self._sanitize = bool(sanitize)
-        self.disk = Disk(block, sanitize=self._sanitize, kernel=get_kernel(kernel))
+        self.disk = Disk(block, sanitize=self._sanitize)
         self.memory = MemoryAccountant(memory, sanitize=self._sanitize)
         self._comparisons = 0
         self._lifetime_comparisons = 0
@@ -332,13 +326,14 @@ class Machine:
         return self._sanitize
 
     @property
-    def kernel(self) -> KernelBackend:
-        """The data-movement backend this machine dispatches to.
+    def kernel(self) -> Kernel:
+        """The data-movement kernel this machine dispatches to.
 
         Algorithm code routes every record-movement primitive —
         concatenation, composite sort, bucket lookup, chunk grouping,
         rank partitioning — through this object (emlint rule R6 enforces
-        it), so a backend swap changes wall-clock behaviour only.
+        it), which is what lets the differential tests substitute the
+        reference for a whole run.
         """
         return self.disk.kernel
 

@@ -124,11 +124,12 @@ def composite_of(key: int, uid: int) -> int:
 
 
 def sort_records(records: np.ndarray) -> np.ndarray:
-    """Return records sorted by the total order ``(key, uid)`` (a copy).
+    """Return records sorted by the total order ``(key, uid)`` (a copy):
+    the stable argsort of the composite.
 
-    Reference primitive: algorithm code should dispatch through
-    ``machine.kernel.sort_by_composite`` instead (emlint rule R6), so
-    the backend registry stays the single hot-path entry point.
+    This is the body of ``Kernel.sort_by_composite``; algorithm code
+    dispatches through ``machine.kernel.sort_by_composite`` instead
+    (emlint rule R6).
     """
     order = np.argsort(composite(records), kind="stable")
     return records[order]
@@ -142,8 +143,8 @@ def concat_records(parts: list[np.ndarray]) -> np.ndarray:
     array, which dominates the runtime of many-small-block
     concatenations on the batched I/O path.
 
-    Reference primitive: algorithm code should dispatch through
-    ``machine.kernel.concat`` instead (emlint rule R6).
+    This is the body of ``Kernel.concat``; algorithm code dispatches
+    through ``machine.kernel.concat`` instead (emlint rule R6).
     """
     if not parts:
         return empty_records(0)

@@ -22,8 +22,7 @@ All streams move data through the disk's batched fast path
 concatenation per chunk instead of one Python call per block — while
 charging exactly the same per-block model cost.  Record concatenation
 and each merge step's ordering dispatch through the machine's
-:attr:`~repro.em.machine.Machine.kernel` backend, so a backend swap
-changes wall-clock behaviour only.
+:attr:`~repro.em.machine.Machine.kernel`.
 """
 
 from __future__ import annotations

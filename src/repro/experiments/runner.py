@@ -44,7 +44,7 @@ __all__ = [
 
 #: Version tag embedded in every record, cache entry and results.json —
 #: bump when the record format changes (stale cache entries are ignored).
-RESULTS_SCHEMA_VERSION = 3
+RESULTS_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -159,7 +159,6 @@ def run_one(exp_id: str, quick: bool) -> dict:
         "comparisons": sum(m.lifetime_comparisons for m in machines),
         "peak_memory_records": max((m.memory.peak for m in machines), default=0),
         "peak_disk_blocks": max((m.disk.peak_blocks for m in machines), default=0),
-        "kernels": sorted({m.kernel.name for m in machines}),
     }
     return RunRecord(
         exp_id=exp_id,
@@ -203,18 +202,8 @@ def default_out_dir() -> Path:
     return Path("benchmarks") / "out"
 
 
-def _active_kernel_name() -> str:
-    """The kernel backend a fresh Machine would select right now."""
-    from ..em.kernels import get_kernel
-
-    return get_kernel(None).name
-
-
 def _cache_key(exp_id: str, quick: bool, src_hash: str) -> str:
-    # The kernel backend is part of the key: backends are byte-identical
-    # by contract, but the record is *stamped* with the backend that
-    # produced it, and a cache hit must not mislabel the provenance.
-    raw = f"{exp_id}\0{int(quick)}\0{src_hash}\0{_active_kernel_name()}".encode()
+    raw = f"{exp_id}\0{int(quick)}\0{src_hash}".encode()
     return hashlib.sha256(raw).hexdigest()[:32]
 
 
@@ -329,9 +318,8 @@ def write_results_json(
     """Write the machine-readable results file for a batch of records.
 
     Schema (version :data:`RESULTS_SCHEMA_VERSION`): a top-level object
-    with ``schema``, ``src_hash`` (cache key component), ``kernel`` (the
-    active kernel backend), ``jobs``, ``quick``, ``total_wall_s``,
-    ``passed``, and ``experiments`` — one
+    with ``schema``, ``src_hash`` (cache key component), ``jobs``,
+    ``quick``, ``total_wall_s``, ``passed``, and ``experiments`` — one
     :meth:`RunRecord.to_dict` per experiment, in document order.
     """
     out = Path(path)
@@ -339,7 +327,6 @@ def write_results_json(
     payload = {
         "schema": RESULTS_SCHEMA_VERSION,
         "src_hash": source_tree_hash(),
-        "kernel": _active_kernel_name(),
         "jobs": jobs,
         "quick": all(r.quick for r in records),
         "total_wall_s": round(sum(r.wall_s for r in records), 6),

@@ -89,10 +89,6 @@ def shards(quick: bool = False) -> ExperimentResult:
                     queries, batch=_BATCH
                 )
                 trace_io = coord.io.total - build_io
-                # Snapshot communication totals before the io_stats
-                # round: its reply payload includes the kernel's *name*,
-                # whose charged word count varies by backend and would
-                # break cross-kernel result identity.
                 msgs, nbytes = _comm_totals(registry)
                 stats = router.shard_io_stats()
                 sizes = [int(s) for s in router.shard_sizes]

@@ -22,7 +22,7 @@ Aggarwal–Vitter cost accounting:
 * **R4** — no unseeded / global-state RNG in the package, ``scripts/``
   or ``benchmarks/``;
 * **R5** — leases are provably released on all paths, across functions;
-* **R6** — hot-path record ops route through the kernel backend;
+* **R6** — hot-path record ops route through the kernel;
 * **R7** — shard code never touches another shard's state.
 
 Two former rules are retired because their invariants became

@@ -1,18 +1,19 @@
 """R6 — kernel-dispatch rule.
 
 Hot-path record movement and batch comparisons dispatch through the
-pluggable kernel backend (:mod:`repro.em.kernels`): algorithm code calls
+data-movement kernel (:mod:`repro.em.kernels`): algorithm code calls
 ``machine.kernel.sort_by_composite`` / ``.concat`` / ``.bucket_of`` /
 ``.partition_at`` / ``.rank_order`` instead of inlining the numpy
-equivalent.  A direct ``sort_records``/``concat_records`` call — or a
-record-bearing ``np.argpartition``/``np.partition`` — in algorithm code
-bypasses the selected backend, so an ``EM_KERNEL`` override silently
-stops covering that call site and the backend differential tests lose
-their guarantee.
+equivalent.  The differential tests substitute the per-block reference
+for the kernel and prove the two identical; a direct
+``sort_records``/``concat_records`` call — or a record-bearing
+``np.argpartition``/``np.partition`` — in algorithm code bypasses
+``machine.kernel``, so the substitution silently stops covering that
+call site.
 
 The em layer itself (and the kernels package in particular) is exempt:
 that is where the primitives live.  Tests are exempt for the usual
-reason — they build fixtures and cross-check backends against the raw
+reason — they build fixtures and cross-check the kernel against the raw
 numpy forms on purpose.
 """
 
@@ -27,7 +28,7 @@ from .rules_cpu import _is_np_attr, _mentions_records
 
 __all__ = ["KernelBypassRule"]
 
-#: Record helpers whose algorithm-layer use bypasses the kernel backend
+#: Record helpers whose algorithm-layer use bypasses the kernel
 #: (each has a kernel method with identical, byte-for-byte semantics).
 _BYPASS_HELPERS = {
     "sort_records": "machine.kernel.sort_by_composite",
@@ -50,13 +51,14 @@ class KernelBypassRule(LintRule):
     title = "record movement/comparison must dispatch through the kernel"
     rationale = (
         "Block movement, concatenation, batch sort/partition and bucket "
-        "distribution are backend-swappable (`EM_KERNEL`, "
-        "`Machine(kernel=...)`), and the backends are proven "
-        "byte-identical by the differential suite.  A direct "
+        "distribution dispatch through `machine.kernel`, and that "
+        "dispatch is what the differential suite's reference "
+        "substitution covers: it proves the kernel byte-identical to "
+        "the per-block reference.  A direct "
         "`sort_records`/`concat_records` call — or a record-bearing "
-        "`np.argpartition`/`np.partition` — in algorithm code pins that "
-        "site to one implementation, outside the backend contract and "
-        "outside what the differential tests exercise."
+        "`np.argpartition`/`np.partition` — in algorithm code skips "
+        "`machine.kernel`, so the substitution never reaches that site "
+        "and the differential tests stop exercising it."
     )
 
     def check(self, ctx: ModuleContext) -> Iterable[LintFinding]:
@@ -70,7 +72,7 @@ class KernelBypassRule(LintRule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"`{func.id}` bypasses the kernel backend (use "
+                    f"`{func.id}` bypasses the kernel (use "
                     f"`{_BYPASS_HELPERS[func.id]}`)",
                 )
             elif _is_np_attr(func) and func.attr in _BYPASS_NP_ATTRS:
@@ -81,6 +83,5 @@ class KernelBypassRule(LintRule):
                         ctx,
                         node,
                         f"record-bearing `np.{func.attr}` bypasses the "
-                        f"kernel backend (use "
-                        f"`{_BYPASS_NP_ATTRS[func.attr]}`)",
+                        f"kernel (use `{_BYPASS_NP_ATTRS[func.attr]}`)",
                     )

@@ -143,7 +143,6 @@ class MachineTrace:
         self.index = index
         self.M = machine.M
         self.B = machine.B
-        self.kernel = machine.kernel.name
         self.label = machine.label
         # Lifetime-counter baseline for the conservation check: the
         # exclusive span counts recorded between attach and detach must
@@ -267,7 +266,6 @@ class MachineTrace:
             "label": self.label,
             "M": self.M,
             "B": self.B,
-            "kernel": self.kernel,
             "root": self.root.to_dict(),
         }
 
@@ -275,7 +273,6 @@ class MachineTrace:
         name = f"#{self.index}" + (f" {self.label!r}" if self.label else "")
         return (
             f"MachineTrace({name}, M={self.M}, B={self.B}, "
-            f"kernel={self.kernel}, "
             f"io={self.root.cum_io}, spans={sum(1 for _ in self.root.walk())})"
         )
 

@@ -245,8 +245,8 @@ def build_sharded_service(
     ``shard_memory``/``shard_block`` default to the coordinator's own
     ``M``/``B``; pass ``shard_memory ~ n/W`` for the semi-external
     regime (Akhremtsev–Sanders–Schulz) where each shard holds its
-    range mostly in memory.  Workers inherit the coordinator's kernel
-    backend and sanitize mode.
+    range mostly in memory.  Workers inherit the coordinator's sanitize
+    mode.
     """
     if shards < 1:
         raise SpecError("need at least one shard")
@@ -275,7 +275,6 @@ def build_sharded_service(
         shard_memory=shard_memory,
         shard_block=shard_block,
         transport=transport,
-        kernel=machine.kernel.name,
         sanitize=machine.sanitize,
     )
     sent = [0] * shards

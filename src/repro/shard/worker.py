@@ -57,14 +57,12 @@ class ShardWorker:
         *,
         memory: int,
         block: int,
-        kernel: str | None = None,
         sanitize: bool | None = None,
     ) -> None:
         self.shard = int(shard)
         self._machine = Machine(
             memory,
             block,
-            kernel=kernel,
             sanitize=sanitize,
             label=f"shard-{shard}",
         )
@@ -165,7 +163,6 @@ class ShardWorker:
             "lifetime_comparisons": m.lifetime_comparisons,
             "M": m.M,
             "B": m.B,
-            "kernel": m.kernel.name,
             "stats": dict(self._engine.stats) if self._engine is not None else {},
         }
 
@@ -236,7 +233,6 @@ class InProcessWorkerPool(_WorkerPool):
         shard_memory: int,
         shard_block: int,
         transport: str = "inproc",
-        kernel: str | None = None,
         sanitize: bool | None = None,
     ) -> None:
         if nshards < 1:
@@ -251,7 +247,6 @@ class InProcessWorkerPool(_WorkerPool):
                 link,
                 memory=shard_memory,
                 block=shard_block,
-                kernel=kernel,
                 sanitize=sanitize,
             )
             self._ends.append(link.coordinator_end(coordinator))
@@ -283,7 +278,6 @@ def _process_worker_main(
     shard: int,
     memory: int,
     block: int,
-    kernel: str | None,
     sanitize: bool | None,
 ) -> None:  # pragma: no cover - runs in the child process
     worker = ShardWorker(
@@ -291,7 +285,6 @@ def _process_worker_main(
         PipeTransport(shard, conn),
         memory=memory,
         block=block,
-        kernel=kernel,
         sanitize=sanitize,
     )
     try:
@@ -322,7 +315,6 @@ class ProcessWorkerPool(_WorkerPool):
         shard_memory: int,
         shard_block: int,
         transport: str = "pipe",  # accepted for interface symmetry
-        kernel: str | None = None,
         sanitize: bool | None = None,
     ) -> None:
         if nshards < 1:
@@ -334,7 +326,7 @@ class ProcessWorkerPool(_WorkerPool):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_process_worker_main,
-                args=(child_conn, shard, shard_memory, shard_block, kernel, sanitize),
+                args=(child_conn, shard, shard_memory, shard_block, sanitize),
                 daemon=True,
             )
             proc.start()

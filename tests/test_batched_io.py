@@ -20,17 +20,18 @@ from repro.em import (
     Machine,
     composite,
 )
-from repro.em import available_kernels
 from repro.em.records import make_records
 
+from .conftest import KERNEL_SIDES, kernel_side
 
-@pytest.fixture(autouse=True, params=available_kernels())
-def each_kernel(request, monkeypatch):
-    """Run every test in this module under every registered kernel
-    backend (the Disk constructor resolves ``EM_KERNEL`` at build time),
-    so the batched-vs-single identity is proven per backend."""
-    monkeypatch.setenv("EM_KERNEL", request.param)
-    return request.param
+
+@pytest.fixture(autouse=True, params=KERNEL_SIDES)
+def each_kernel(request):
+    """Run every test in this module under the kernel and under the
+    reference (the Disk constructor resolves the kernel at build time),
+    so the batched-vs-single identity is proven for both."""
+    with kernel_side(request.param) as kernel:
+        yield kernel
 
 
 def blk(n, start=0):

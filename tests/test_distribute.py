@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.alg.distribute import bucket_indices, distribute_by_pivots
-from repro.em import Machine, MemoryBudgetError, composite
+from repro.alg.distribute import distribute_by_pivots
+from repro.em import Machine, MemoryBudgetError, composite, get_kernel
 from repro.em.records import make_records, sort_records
 from repro.workloads import load_input, random_permutation
 
@@ -18,7 +18,7 @@ class TestBucketIndices:
         recs = make_records(
             np.array([5, 10, 11, 20, 21]), uids=np.array([1, 100, 2, 200, 3])
         )
-        idx = bucket_indices(recs, composite(pivots))
+        idx = get_kernel().bucket_of(recs, composite(pivots))
         assert list(idx) == [0, 0, 1, 1, 2]
 
     def test_tie_breaking_by_uid(self):
@@ -26,7 +26,7 @@ class TestBucketIndices:
         # bucket as pivot; uid above -> next bucket.
         pivots = make_records(np.array([10]), uids=np.array([50]))
         recs = make_records(np.array([10, 10]), uids=np.array([49, 51]))
-        idx = bucket_indices(recs, composite(pivots))
+        idx = get_kernel().bucket_of(recs, composite(pivots))
         assert list(idx) == [0, 1]
 
 

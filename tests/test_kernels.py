@@ -1,33 +1,32 @@
-"""Kernel backend registry + cross-backend identity proofs.
+"""The one data-movement kernel, proven against the numpy_v1 reference.
 
-The kernel layer (:mod:`repro.em.kernels`) owns block movement and batch
+The kernel (:mod:`repro.em.kernels`) owns block movement and batch
 record comparisons; the accounting layer (counters, leases, phases,
-traces) stays in ``Disk``/``Machine``.  Swapping the backend must
-therefore be *unobservable* in the model: byte-identical answers and
-identical counters, per-phase breakdowns, read-id sets, and access
-traces.  These tests prove that identity at three levels — primitives,
-whole algorithms, the service's query/update paths — and across every
-registered experiment in quick mode.
+traces) stays in ``Disk``/``Machine``.  Substituting the per-block
+reference for the kernel must therefore be *unobservable* in the model:
+byte-identical answers and identical counters, per-phase breakdowns,
+read-id sets, and access traces.  These tests prove that identity at
+three levels — primitives, whole algorithms, the service's query/update
+paths — and across every registered experiment in quick mode.  Each
+whole-run comparison also checks that the reference's movement ops were
+really called, so a module that bound the kernel at import time could
+not turn the suite into a comparison of the kernel with itself.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.em import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KernelBackend,
-    Machine,
-    available_kernels,
-    composite,
-    get_kernel,
-)
-from repro.em.kernels import _REGISTRY, register_kernel
-from repro.em.records import RECORD_DTYPE, make_records
+from repro.em import Kernel, Machine, composite, get_kernel
+from repro.em.kernels.numpy_v1 import NumpyV1Kernel
+from repro.em.records import RECORD_DTYPE
 from repro.workloads import load_input, random_permutation, zipf_like
 from repro.workloads.queries import zipfian_trace
 
-KERNELS = available_kernels()
+from .conftest import KERNEL_SIDES, MOVEMENT_OPS, kernel_side
+
+KERNELS = (NumpyV1Kernel(), get_kernel())
 
 
 def _records(n, seed=0):
@@ -40,75 +39,59 @@ def _records(n, seed=0):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# One kernel, no selection
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_both_builtins_registered(self):
-        assert set(KERNELS) >= {"numpy_v1", "vectorized_v2"}
-        assert DEFAULT_KERNEL in KERNELS
+        # The reference subclasses the kernel and overrides exactly the
+        # four movement ops; the compare ops are the kernel's own.
+        assert issubclass(NumpyV1Kernel, Kernel)
+        overridden = {
+            name
+            for name, value in vars(NumpyV1Kernel).items()
+            if inspect.isfunction(value)
+        }
+        assert overridden == set(MOVEMENT_OPS)
 
-    def test_get_kernel_by_name_and_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert get_kernel("numpy_v1").name == "numpy_v1"
-        assert get_kernel(None).name == DEFAULT_KERNEL
+    def test_get_kernel_by_name_and_default(self):
+        assert get_kernel(None) is Machine(64, 8).kernel
+        assert get_kernel().name == "vectorized_v2"
+        with pytest.raises(TypeError):
+            get_kernel("numpy_v1")
 
     def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "numpy_v1")
-        assert get_kernel(None).name == "numpy_v1"
-        assert Machine(memory=64, block=8).kernel.name == "numpy_v1"
+        # No environment variable reaches the reference.
+        monkeypatch.setenv("EM_KERNEL", "numpy_v1")
+        assert Machine(memory=64, block=8).kernel.name == "vectorized_v2"
 
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "numpy_v1")
-        assert Machine(
-            memory=64, block=8, kernel="vectorized_v2"
-        ).kernel.name == "vectorized_v2"
+    def test_explicit_arg_beats_env(self):
+        # No argument reaches it either.
+        with pytest.raises(TypeError):
+            Machine(memory=64, block=8, kernel="numpy_v1")
 
-    def test_instance_passthrough(self):
-        inst = get_kernel("numpy_v1")
-        assert get_kernel(inst) is inst
-        assert Machine(memory=64, block=8, kernel=inst).kernel is inst
+    def test_instance_passthrough(self, reference_kernel):
+        # Inside the substitution fixture every new machine gets the
+        # reference.
+        assert isinstance(reference_kernel, NumpyV1Kernel)
+        assert get_kernel() is reference_kernel
+        assert Machine(memory=64, block=8).kernel is reference_kernel
 
-    def test_unknown_kernel_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="numpy_v1"):
-            get_kernel("no_such_backend")
-
-    def test_duplicate_registration_rejected(self):
-        class Dup(KernelBackend):
-            name = "numpy_v1"
-
-        with pytest.raises(ValueError, match="duplicate kernel"):
-            register_kernel(Dup)
-        assert type(_REGISTRY["numpy_v1"]).__name__ == "NumpyV1Kernel"
-
-    def test_unnamed_registration_rejected(self):
-        class NoName(KernelBackend):
-            pass
-
-        with pytest.raises(ValueError, match="name"):
-            register_kernel(NoName)
-
-    def test_trace_metadata_records_kernel(self):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        with tracer.install():
-            m = Machine(memory=64, block=8, kernel="numpy_v1")
-            m.close()
-        (trace,) = tracer.traces
-        assert trace.kernel == "numpy_v1"
-        assert trace.to_dict()["kernel"] == "numpy_v1"
+    def test_substitution_ends_with_its_scope(self):
+        with kernel_side("numpy_v1") as ref:
+            assert Machine(memory=64, block=8).kernel is ref
+        assert type(Machine(memory=64, block=8).kernel) is Kernel
 
 
 # ----------------------------------------------------------------------
 # Primitive identity
 # ----------------------------------------------------------------------
 class TestPrimitiveIdentity:
-    """Every primitive returns byte-identical output on every backend."""
+    """Every primitive returns byte-identical output on both sides."""
 
     @pytest.mark.parametrize("n", [0, 1, 7, 256, 1000])
     def test_sort_by_composite(self, n):
         recs = _records(n, seed=n)
-        outs = [get_kernel(k).sort_by_composite(recs) for k in KERNELS]
+        outs = [k.sort_by_composite(recs) for k in KERNELS]
         for o in outs[1:]:
             assert np.array_equal(outs[0], o)
         if n:
@@ -120,11 +103,11 @@ class TestPrimitiveIdentity:
         pivots = np.sort(
             np.random.default_rng(5).integers(0, 2**40, size=7)
         )
-        idxs = [get_kernel(k).bucket_of(recs, pivots) for k in KERNELS]
+        idxs = [k.bucket_of(recs, pivots) for k in KERNELS]
         for i in idxs[1:]:
             assert np.array_equal(idxs[0], i)
         groups = [
-            list(get_kernel(k).group_by_bucket(recs, idxs[0]))
+            list(k.group_by_bucket(recs, idxs[0]))
             for k in KERNELS
         ]
         for g in groups[1:]:
@@ -141,8 +124,8 @@ class TestPrimitiveIdentity:
     def test_partition_and_rank_order(self):
         recs = _records(512, seed=3)
         kth = np.array([10, 100, 400])
-        parts = [get_kernel(k).partition_at(recs, kth) for k in KERNELS]
-        orders = [get_kernel(k).rank_order(recs, kth) for k in KERNELS]
+        parts = [k.partition_at(recs, kth) for k in KERNELS]
+        orders = [k.rank_order(recs, kth) for k in KERNELS]
         for p in parts[1:]:
             assert np.array_equal(parts[0], p)
         for o in orders[1:]:
@@ -153,11 +136,11 @@ class TestPrimitiveIdentity:
 
     def test_concat(self):
         parts = [_records(n, seed=n) for n in (0, 3, 64, 1)]
-        outs = [get_kernel(k).concat(parts) for k in KERNELS]
+        outs = [k.concat(parts) for k in KERNELS]
         for o in outs[1:]:
             assert np.array_equal(outs[0], o)
         assert len(outs[0]) == 68
-        empty = [get_kernel(k).concat([]) for k in KERNELS]
+        empty = [k.concat([]) for k in KERNELS]
         for e in empty:
             assert len(e) == 0 and e.dtype == RECORD_DTYPE
 
@@ -165,15 +148,16 @@ class TestPrimitiveIdentity:
 # ----------------------------------------------------------------------
 # Whole-algorithm identity: counters, phases, traces, bytes
 # ----------------------------------------------------------------------
-def _run_traced(kernel_name, scenario, **mach_kw):
-    """Run ``scenario(machine)`` under one backend; return the full
+def _run_traced(side, scenario, **mach_kw):
+    """Run ``scenario(machine)`` on one kernel side; return the full
     observable state: (reads, writes, per-phase, comparisons, mem peak,
-    read-id set, access trace, output bytes)."""
+    read-id set, access trace, output bytes), plus the kernel used."""
     mach_kw.setdefault("memory", 512)
     mach_kw.setdefault("block", 16)
-    mach = Machine(kernel=kernel_name, **mach_kw)
-    mach.disk.start_trace()
-    out = scenario(mach)
+    with kernel_side(side) as kernel:
+        mach = Machine(**mach_kw)
+        mach.disk.start_trace()
+        out = scenario(mach)
     c = mach.snapshot()
     state = (
         c.reads,
@@ -184,16 +168,16 @@ def _run_traced(kernel_name, scenario, **mach_kw):
         set(mach.disk.read_block_ids),
         mach.disk.stop_trace(),
     )
-    return state, np.asarray(out)
+    return state, np.asarray(out), kernel
 
 
 def _assert_identical(scenario, **mach_kw):
-    ref_state, ref_out = _run_traced(KERNELS[0], scenario, **mach_kw)
-    for name in KERNELS[1:]:
-        state, out = _run_traced(name, scenario, **mach_kw)
-        assert state[:6] == ref_state[:6], f"counters diverge on {name}"
-        assert state[6] == ref_state[6], f"trace diverges on {name}"
-        assert out.tobytes() == ref_out.tobytes(), f"bytes diverge on {name}"
+    ref_state, ref_out, ref = _run_traced("numpy_v1", scenario, **mach_kw)
+    assert sum(ref.calls.values()) > 0, "the reference never ran"
+    state, out, _ = _run_traced("vectorized_v2", scenario, **mach_kw)
+    assert state[:6] == ref_state[:6], "counters diverge"
+    assert state[6] == ref_state[6], "trace diverges"
+    assert out.tobytes() == ref_out.tobytes(), "bytes diverge"
 
 
 class TestAlgorithmIdentity:
@@ -305,17 +289,16 @@ def _experiment_ids():
 
 
 @pytest.mark.parametrize("exp_id", _experiment_ids())
-def test_experiment_identity_across_kernels(exp_id, monkeypatch):
+def test_experiment_identity_across_kernels(exp_id):
     """Every experiment produces the identical result and identical
-    aggregate machine counters under every backend."""
+    aggregate machine counters under the kernel and the reference."""
     from repro.em.machine import observe_machines
     from repro.experiments import get_experiment
 
     outcomes = []
-    for name in KERNELS:
-        monkeypatch.setenv(KERNEL_ENV, name)
+    for side in KERNEL_SIDES:
         machines = []
-        with observe_machines(machines.append):
+        with kernel_side(side) as kernel, observe_machines(machines.append):
             result = get_experiment(exp_id)(quick=True)
         outcomes.append(
             (
@@ -327,6 +310,10 @@ def test_experiment_identity_across_kernels(exp_id, monkeypatch):
                 max((m.memory.peak for m in machines), default=0),
             )
         )
-    ref = outcomes[0]
-    for name, other in zip(KERNELS[1:], outcomes[1:]):
-        assert other == ref, f"{exp_id} diverges under kernel {name}"
+        if side == "numpy_v1":
+            # Vacuity guard: the run really moved bytes through the
+            # reference — on the sharded path, through all four ops.
+            assert sum(kernel.calls.values()) > 0, "the reference never ran"
+            if exp_id == "SHARDS":
+                assert all(kernel.calls[op] > 0 for op in MOVEMENT_OPS)
+    assert outcomes[0] == outcomes[1], f"{exp_id} diverges under the reference"

@@ -821,11 +821,11 @@ class TestDiffAndBaseline:
         # while findings use lint-root-relative names ("repro/...");
         # both must select the file.
         for spelling in (
-            "src/repro/alg/distribute.py",
-            "repro/alg/distribute.py",
+            "src/repro/alg/partitioned.py",
+            "repro/alg/partitioned.py",
         ):
             report = lint_paths(only_paths=[spelling])
-            assert {f.rule for f in report.suppressed} == {"R3"}, spelling
+            assert {f.rule for f in report.suppressed} == {"R2"}, spelling
 
     def test_only_paths_restricts_reporting(self, tmp_path):
         a = tmp_path / "repro" / "alg" / "a.py"
@@ -892,15 +892,14 @@ class TestRepoGate:
         # Every committed suppression is one we placed deliberately;
         # this pins the per-rule budget so new ones show up in review.
         # The v2 dataflow engine retired the R3 suppressions in
-        # selection.py (callers charge cmp_median5) — the budget must
-        # only ever shrink.
+        # selection.py (callers charge cmp_median5), and the one-kernel
+        # module retired bucket_indices' R3 and _group_medians' R6 —
+        # the budget must only ever shrink.
         report = lint_paths()
         by_rule = Counter(f.rule for f in report.suppressed)
         assert dict(by_rule) == {
             "R2": 3,  # documented uncounted verification reads
-            "R3": 1,  # bucket_indices: exported API, callers charge
             "R5": 2,  # cli sanitize-check deliberate trap fixtures
-            "R6": 1,  # _group_medians remainder: no machine in scope
             "R7": 2,  # worker reading its own disk via a local alias
         }
-        assert len(report.suppressed) == 9
+        assert len(report.suppressed) == 7

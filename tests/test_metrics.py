@@ -10,8 +10,8 @@ Three groups:
 * **Differential identity** — running the full service stack (lazy
   engine + frontend, updates, durability) inside a ``metrics_scope``
   must change *nothing* in the EM model: byte-identical answers and
-  identical I/O, comparison, and peak-memory counters, across every
-  registered kernel backend.
+  identical I/O, comparison, and peak-memory counters, under the kernel
+  and under the numpy_v1 reference.
 """
 
 import json
@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.em import Machine, available_kernels
+from repro.em import Machine
 from repro.em.records import composite
 from repro.obs import (
     DEFAULT_IO_BUCKETS,
@@ -39,7 +39,7 @@ from repro.service import LazyPartitionIndex, Query, QueryFrontend
 from repro.workloads import load_input, random_permutation
 from repro.workloads.queries import zipfian_trace
 
-KERNELS = available_kernels()
+from .conftest import KERNEL_SIDES, kernel_side
 
 
 # ---------------------------------------------------------------------
@@ -324,10 +324,16 @@ class TestFlightRecorder:
 
 
 def _run_service(kernel, with_metrics):
-    """One fixed service workload; returns (fingerprint, registry)."""
+    """One fixed service workload on one kernel side; returns
+    (fingerprint, registry)."""
+    with kernel_side(kernel):
+        return _service_fingerprint(with_metrics)
+
+
+def _service_fingerprint(with_metrics):
     recs = random_permutation(20_000, seed=3)
     trace = zipfian_trace(200, 20_000, seed=5, alpha=1.2)
-    mach = Machine(memory=4096, block=64, kernel=kernel)
+    mach = Machine(memory=4096, block=64)
     f = load_input(mach, recs)
     registry = MetricsRegistry() if with_metrics else None
     scope = metrics_scope(registry) if with_metrics else None
@@ -356,7 +362,7 @@ def _run_service(kernel, with_metrics):
     return fingerprint, registry
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNEL_SIDES)
 def test_metrics_change_no_em_counters(kernel):
     bare, _ = _run_service(kernel, with_metrics=False)
     instrumented, registry = _run_service(kernel, with_metrics=True)
@@ -372,7 +378,7 @@ def test_metrics_change_no_em_counters(kernel):
 
 def test_metrics_identical_across_kernels():
     dicts = []
-    for kernel in KERNELS:
+    for kernel in KERNEL_SIDES:
         _, registry = _run_service(kernel, with_metrics=True)
         dicts.append(registry.to_dict())
     for other in dicts[1:]:

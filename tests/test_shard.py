@@ -43,7 +43,7 @@ from repro.workloads import load_input
 from repro.workloads.generators import random_permutation
 from repro.workloads.queries import QUERY_TRACES, shard_skew_trace
 
-from .conftest import records_from_keys
+from .conftest import KERNEL_SIDES, kernel_side, records_from_keys
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +202,7 @@ def _reference_select(records: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 class TestDifferential:
     N, K, Q = 4096, 32, 48
 
-    @pytest.mark.parametrize("kernel", ["numpy_v1", "vectorized_v2"])
+    @pytest.mark.parametrize("kernel", KERNEL_SIDES)
     @pytest.mark.parametrize("w", [1, 2, 4, 8])
     def test_sharded_matches_single_machine(self, w, kernel):
         records = random_permutation(self.N, seed=11)
@@ -212,8 +212,8 @@ class TestDifferential:
 
         # Sanitize mode + tracer: detach verifies counter conservation
         # on the coordinator and every labeled shard machine.
-        with Tracer().install() as tracer:
-            coord = Machine(memory=512, block=16, kernel=kernel, sanitize=True)
+        with kernel_side(kernel), Tracer().install() as tracer:
+            coord = Machine(memory=512, block=16, sanitize=True)
             f = load_input(coord, records)
             coord.reset_counters()
             with build_sharded_service(coord, f, shards=w, k=self.K) as router:
@@ -250,7 +250,7 @@ class TestDifferential:
                 assert s["lifetime_reads"] == m.disk.lifetime.reads
                 sent = m.disk.lifetime.writes - s["lifetime_writes"]
                 assert 1 <= sent <= 2
-                assert s["kernel"] == m.kernel.name
+                assert m.kernel is coord.kernel
         f.free()
         coord.close()
 
