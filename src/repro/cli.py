@@ -1476,8 +1476,10 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--k", type=int, default=64)
         p.add_argument(
             "--engine", choices=["eager", "lazy"], default=engine_default,
-            help="eager = materialized PartitionIndex (supports updates); "
-            "lazy = LazyPartitionIndex (read-only, refines on demand)",
+            help="eager = PartitionIndex.build, the whole partitioning up "
+            "front (supports updates); lazy = LazyPartitionIndex, the same "
+            "engine started from one partition and refined where queries "
+            "land (read-only)",
         )
         p.add_argument("--workload", default="permutation")
         p.add_argument("--seed", type=int, default=0)

@@ -5,13 +5,17 @@ keeps the approximate partitioning *alive* and serves traffic against
 it:
 
 * :mod:`repro.service.index` — :class:`~repro.service.index.PartitionIndex`,
-  an eagerly built approximate-K-partition index answering selection,
-  quantile, range-count, and partition-lookup queries with ``O(log K)``
-  in-memory comparisons plus at most one partition scan each;
+  the one partition engine: an ordered list of partitions plus their
+  splitter composites, answering selection, quantile, range-count, and
+  partition-lookup queries with ``O(log K)`` in-memory comparisons plus
+  at most one load or scan per partition touched;
+  :meth:`~repro.service.index.PartitionIndex.build` materializes the
+  whole approximate K-partitioning up front;
 * :mod:`repro.service.online` —
-  :class:`~repro.service.online.LazyPartitionIndex`, Barbay–Gupta-style
-  lazy refinement: the pivot tree grows only where queries land, so
-  skewed traces pay far less than building the full index;
+  :class:`~repro.service.online.LazyPartitionIndex`, the same engine
+  started lazily (Barbay–Gupta online multiselection): one partition
+  holding the caller's file, refined in place only where queries land,
+  so skewed traces pay far less than building the full index;
 * :mod:`repro.service.updates` —
   :class:`~repro.service.updates.DeltaBuffer`, appends/deletes with
   local split/merge rebalancing and a drift-triggered full rebuild;

@@ -1,9 +1,9 @@
 """Batched query frontend: coalesce, deduplicate, answer, account.
 
-:class:`QueryFrontend` sits between clients and an engine (either
-:class:`~repro.service.index.PartitionIndex` or
-:class:`~repro.service.online.LazyPartitionIndex` — anything with
-``n_live`` / ``batch_select`` / ``range_count`` / ``partition_of``).
+:class:`QueryFrontend` sits between clients and an engine (a
+:class:`~repro.service.index.PartitionIndex`, built or lazy, or a
+sharded router — anything with ``n_live`` / ``batch_select`` /
+``range_count`` / ``partition_of``).
 Clients :meth:`~QueryFrontend.submit` mixed queries; :meth:`flush`
 answers the whole queue at once:
 
@@ -20,7 +20,7 @@ answers the whole queue at once:
 
 Under a :class:`repro.obs.tracer.Tracer` every flush appears as a
 ``svc-flush`` span whose children are the engine's phases
-(``svc-refine``, ``svc-leaf``, ``svc-select``, ...), so a Perfetto
+(``svc-select``, ``svc-refine``, ``svc-range``, ...), so a Perfetto
 timeline shows exactly where each batch's I/O went.
 """
 

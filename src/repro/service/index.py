@@ -1,29 +1,35 @@
-"""Eager partition index: approximate K-splitters kept live for queries.
+"""Partition index: approximate K-splitters kept live for queries.
 
-:class:`PartitionIndex` materializes an approximate K-partitioning of an
-:class:`~repro.em.file.EMFile` once (two-sided window ``[a, b]`` with
-``b/a = (1+slack)²``), then serves:
+:class:`PartitionIndex` keeps an approximate K-partitioning of an
+:class:`~repro.em.file.EMFile` as an ordered list of partitions plus
+their splitter composites, and serves:
 
 * ``select(rank)`` / ``batch_select(ranks)`` / ``quantile(q)`` — the
-  record(s) at given rank(s): ``O(log K)`` comparisons to locate the
-  partition, then one partition load (``O(b/B)`` I/Os) shared by every
-  rank landing in it;
+  record(s) at given rank(s): ``O(log K)`` comparisons over the
+  cumulative live sizes to locate the partition, then one partition
+  load (``O(b/B)`` I/Os) shared by every rank landing in it;
 * ``range_count(lo, hi)`` — elements with key in ``(lo, hi]``: interior
-  partitions are counted from live sizes for free, at most one partition
-  scan per endpoint;
+  partitions are counted from live sizes for free, and each partition
+  holding an end of the range is scanned once;
 * ``partition_of(key)`` — pure in-memory binary search.
 
-The resident control state (splitter composites, partition sizes,
-tombstones, pending updates) is held under a machine memory lease, so
-the simulator's budget accounting covers the service like any other
-algorithm.  Updates arrive through :class:`repro.service.updates.DeltaBuffer`
-(see :meth:`PartitionIndex.append` / :meth:`PartitionIndex.delete`) and
-are flushed automatically before any query, so answers always reflect
-every prior update.
+:meth:`PartitionIndex.build` materializes the whole partitioning at once
+(two-sided window ``[a, b]`` with ``b/a = (1+slack)²``);
+:class:`~repro.service.online.LazyPartitionIndex` starts from one
+partition and refines only where queries land.  The resident control
+state (one record per splitter, partition, tombstone, pending update
+and cached answer) is held under one ``svc-resident`` machine memory
+lease, so the simulator's budget accounting covers the service like any
+other algorithm.  Updates arrive through
+:class:`repro.service.updates.DeltaBuffer` (see
+:meth:`PartitionIndex.append` / :meth:`PartitionIndex.delete`) and are
+flushed automatically before any query, so answers always reflect every
+prior update.  A closed or abandoned index refuses every query with
+:class:`~repro.em.errors.SpecError`.
 
 The partition convention matches the paper throughout: partition ``j``
-holds the composites in ``(s_{j-1}, s_j]``, where ``s_j`` is the largest
-composite of partition ``j``.
+holds the composites in ``(s_{j-1}, s_j]``, where ``s_j`` bounds
+partition ``j`` from above (its largest composite after a build).
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from ..em.records import (
 from ..em.streams import BlockReader, BlockWriter
 from ..alg.inmemory import select_at_ranks
 from ..alg.multipartition import multi_partition
+from ..core.multiselect import multi_select
 from ..core.partitioning import approximate_partition
 from ..core.spec import validate_params
 from ..apps.order_stats import rank_of_fraction
@@ -87,9 +94,14 @@ class PartitionIndex:
     """A live approximate-K-partition index over one machine's disk.
 
     Build with :meth:`build`; the index owns its partition segments (the
-    input file is left intact and may be freed by the caller).  Use as a
-    context manager or call :meth:`close` to release disk and memory.
+    input file is left intact and may be freed by the caller).
+    :class:`~repro.service.online.LazyPartitionIndex` starts the same
+    engine from one partition instead.  Use as a context manager or call
+    :meth:`close` to release disk and memory.
     """
+
+    #: ``engine`` label of the ``svc_query_io`` histogram.
+    _ENGINE = "eager"
 
     def __init__(
         self,
@@ -133,7 +145,7 @@ class PartitionIndex:
             "svc_query_io",
             "per-query attributed simulated I/O (block transfers)",
             labels=("engine",),
-        ).labels(engine="eager")
+        ).labels(engine=self._ENGINE)
         self._m_drift = metrics.gauge(
             "svc_drift", "updates applied since the last (re)build"
         )
@@ -170,45 +182,50 @@ class PartitionIndex:
         return idx
 
     def _install(self, file: EMFile, k: int, free_input: bool) -> None:
-        """(Re)build all partitions from ``file``; resets drift."""
+        """(Re)build all partitions from ``file``; resets drift.
+
+        Nothing of the index changes unless the partitioning succeeds,
+        so a refused rebuild leaves the old partitions serving.
+        """
         m = self._machine
         n = len(file)
         k = max(1, min(int(k), max(1, n)))
         per = max(1.0, n / k)
+        a = max(1, int(per / (1 + self.slack)))
+        b = max(a + 1, int(math.ceil(per * (1 + self.slack))))
+        parts = [_Partition([], 0)]
+        maxima: list[int] = []
+        max_uid = -1
+        if n:
+            validate_params(n, k, a, b)
+            with m.phase("svc-build"):
+                pf = approximate_partition(m, file, k, a, b)
+                parts = [
+                    _Partition(pf.segments_of(p), pf.partition_sizes[p])
+                    for p in range(pf.num_partitions)
+                ]
+                # One scan extracts the splitter composites (the max
+                # composite of every partition) and the uid high-water
+                # mark for appends.
+                try:
+                    for part in parts:
+                        part_max = -(1 << 62)
+                        for seg in part.segments:
+                            with BlockReader(seg, "svc-build-splitters") as reader:
+                                for block in reader:
+                                    cmp_linear(m, 2 * len(block))
+                                    top = int(composite(block).max())
+                                    part_max = max(part_max, top)
+                                    max_uid = max(max_uid, int(block["uid"].max()))
+                        maxima.append(part_max)
+                except BaseException:
+                    pf.free()
+                    raise
         self._target = max(1, int(round(per)))
-        self.a = max(1, int(per / (1 + self.slack)))
-        self.b = max(self.a + 1, int(math.ceil(per * (1 + self.slack))))
+        self.a, self.b = a, b
         self._n0 = n
         self._drift = 0
         self._m_drift.set(0)
-        if n == 0:
-            self._parts = [_Partition([], 0)]
-            self._splitters = np.empty(0, dtype=np.int64)
-            self._n_live = 0
-            self._sync_resident()
-            if free_input:
-                file.free()
-            return
-        validate_params(n, k, self.a, self.b)
-        with m.phase("svc-build"):
-            pf = approximate_partition(m, file, k, self.a, self.b)
-            parts = [
-                _Partition(pf.segments_of(p), pf.partition_sizes[p])
-                for p in range(pf.num_partitions)
-            ]
-            # One scan extracts the splitter composites (the max composite
-            # of every partition) and the uid high-water mark for appends.
-            maxima: list[int] = []
-            max_uid = -1
-            for part in parts:
-                part_max = -(1 << 62)
-                for seg in part.segments:
-                    with BlockReader(seg, "svc-build-splitters") as reader:
-                        for block in reader:
-                            cmp_linear(m, 2 * len(block))
-                            part_max = max(part_max, int(composite(block).max()))
-                            max_uid = max(max_uid, int(block["uid"].max()))
-                maxima.append(part_max)
         self._parts = parts
         self._splitters = np.array(maxima[:-1], dtype=np.int64)
         self._n_live = n
@@ -248,7 +265,7 @@ class PartitionIndex:
 
     def quantile(self, q: float):
         """The record at the ``q``-quantile (nearest rank)."""
-        self._flush_updates()
+        self._ready()
         if self._n_live == 0:
             raise SpecError("quantile of an empty index")
         return self.select(rank_of_fraction(self._n_live, q))
@@ -256,11 +273,11 @@ class PartitionIndex:
     def batch_select(self, ranks) -> np.ndarray:
         """Records at the given 1-based ``ranks`` (aligned; duplicates OK).
 
-        Deduplicates internally: each distinct partition touched is
-        loaded (or scanned) exactly once per call, however many ranks
-        land in it.
+        Deduplicates internally: ranks are located by the cumulative
+        live sizes, and each distinct partition touched is loaded (or
+        scanned) exactly once per call, however many ranks land in it.
         """
-        self._flush_updates()
+        self._ready()
         m = self._machine
         ranks = np.asarray(ranks, dtype=np.int64)
         if ranks.size == 0:
@@ -272,53 +289,101 @@ class PartitionIndex:
             raise SpecError(f"ranks must lie in [1, {n}]")
         unique, inverse = np.unique(ranks, return_inverse=True)
         dup = np.bincount(inverse, minlength=len(unique))
-        live = np.array([p.live for p in self._parts], dtype=np.int64)
-        ends = np.cumsum(live)
-        j_of = np.searchsorted(ends, unique, side="left")
-        cmp_search(m, len(unique), len(ends))
         out = empty_records(len(unique))
+        todo = self._from_cache(unique, dup, out)
+        ends = self._live_ends()
         with m.phase("svc-select"):
-            for j in np.unique(j_of):
-                mask = j_of == j
-                below = int(ends[j - 1]) if j > 0 else 0
-                local = unique[mask] - below
+            i = 0
+            while i < len(todo):
                 io_base = self._life_io()
-                out[mask] = self._select_in_partition(int(j), local)
+                j, ends = self._locate(int(unique[todo[i]]), ends)
+                below = int(ends[j - 1]) if j > 0 else 0
+                # Unique ranks are sorted, so the ranks sharing
+                # partition j are the consecutive run up to its end.
+                stop = i + int(
+                    np.searchsorted(unique[todo[i:]], ends[j], side="right")
+                )
+                group = todo[i:stop]
+                out[group] = self._select_in_partition(j, unique[group] - below)
+                self._remember(unique[group], out[group])
                 # Attribute the partition load evenly over the queries
                 # it answered (duplicates included); observations sum
                 # back to the exact lifetime delta.
-                served = int(dup[mask].sum())
+                served = int(dup[group].sum())
                 spent = self._life_io() - io_base
                 self._m_query_io.observe(spent / served, count=served)
+                i = stop
         return out[inverse]
 
     def range_count(self, lo_key: int, hi_key: int) -> int:
         """Number of live elements with key in ``(lo_key, hi_key]``.
 
-        Interior partitions are counted from their live sizes (free);
-        each endpoint costs at most one partition scan.
+        Partitions wholly inside the range are counted from their live
+        sizes (free); each partition the range ends inside is scanned
+        once, even when both ends fall in the same one.
         """
         if hi_key < lo_key:
             raise SpecError("empty range: hi_key < lo_key")
-        self._flush_updates()
+        self._ready()
         if self._n_live == 0:
             return 0
-        with self._machine.phase("svc-range"):
-            hi = self._rank_of_composite(composite_of(hi_key, UID_MAX))
-            lo = self._rank_of_composite(composite_of(lo_key, UID_MAX))
-        return hi - lo
+        m = self._machine
+        lo_c = composite_of(lo_key, UID_MAX)
+        hi_c = composite_of(hi_key, UID_MAX)
+        s = self._splitters
+        # Partition j holds (s[j-1], s[j]]; j_lo..j_hi meet the range.
+        j_lo = int(np.searchsorted(s, lo_c, side="right"))
+        j_hi = int(np.searchsorted(s, hi_c, side="left"))
+        cmp_search(m, 2, max(1, len(s)))
+        total = 0
+        with m.phase("svc-range"):
+            for j in range(j_lo, j_hi + 1):
+                cut_lo = j == j_lo and (j == 0 or s[j - 1] != lo_c)
+                cut_hi = j == j_hi and (j == len(s) or s[j] != hi_c)
+                if cut_lo or cut_hi:
+                    total += self._count_between(
+                        self._parts[j],
+                        lo_c if cut_lo else None,
+                        hi_c if cut_hi else None,
+                    )
+                else:
+                    total += self._parts[j].live
+        return total
 
     def partition_of(self, key: int) -> int:
         """Index of the first partition that may contain ``key`` —
         ``O(log K)`` comparisons, zero I/O."""
-        self._flush_updates()
-        if not self._parts:
-            raise SpecError("partition_of on a closed index")
+        self._ready()
         j = int(
             np.searchsorted(self._splitters, composite_of(key, 0), side="left")
         )
         cmp_search(self._machine, 1, max(1, len(self._splitters)))
         return j
+
+    def _ready(self) -> None:
+        """Refuse queries on a closed index; apply buffered updates."""
+        if self._closed:
+            raise SpecError("query on a closed index")
+        self._flush_updates()
+
+    def _live_ends(self) -> np.ndarray:
+        """Cumulative live sizes: partition j holds ranks
+        ``(ends[j-1], ends[j]]``."""
+        return np.cumsum([p.live for p in self._parts], dtype=np.int64)
+
+    def _locate(self, rank: int, ends: np.ndarray) -> tuple[int, np.ndarray]:
+        """The partition holding ``rank``, and the ``ends`` it was found
+        in (a subclass that reshapes partitions returns fresh ends)."""
+        cmp_search(self._machine, 1, len(ends))
+        return int(np.searchsorted(ends, rank, side="left")), ends
+
+    def _from_cache(self, unique, dup, out) -> np.ndarray:
+        """Positions of ``unique`` still to answer; a caching subclass
+        fills ``out`` for the rest.  The base index caches nothing."""
+        return np.arange(len(unique))
+
+    def _remember(self, ranks: np.ndarray, recs: np.ndarray) -> None:
+        """Offer freshly answered ranks to a cache (none here)."""
 
     # ------------------------------------------------------------------
     # Updates (delegated to the delta buffer)
@@ -389,42 +454,34 @@ class PartitionIndex:
         part = self._parts[j]
         if self._footprint(part) > m.load_limit:
             self._compact(j)
-        footprint = self._footprint(part)
-        if footprint <= m.load_limit:
-            with m.memory.lease(footprint, "svc-partition-load"):
-                recs = self._read_segments(part.segments)
-                recs = self._drop_tombstoned(part, recs)
-                return select_at_ranks(m, recs, local_ranks)
+        if self._footprint(part) <= m.load_limit:
+            return self._load_select(part, local_ranks)
         # Oversized even when compacted (only possible for b >> M):
         # fall back to external multi-selection on the single segment.
-        return np.asarray(multi_select_em(m, part.segments[0], local_ranks))
+        return np.asarray(multi_select(m, part.segments[0], local_ranks))
+
+    def _load_select(self, part: _Partition, local_ranks: np.ndarray) -> np.ndarray:
+        """Load ``part`` whole under a lease and select in memory."""
+        m = self._machine
+        with m.memory.lease(self._footprint(part), "svc-partition-load"):
+            recs = self._read_segments(part.segments)
+            if part.tombstones:
+                recs = self._drop_dead(recs, self._tomb_array(part))
+            return select_at_ranks(m, recs, local_ranks)
 
     def _read_segments(self, segments: list[EMFile]) -> np.ndarray:
         """Counted read of all segments into memory (caller holds lease)."""
-        parts = [
-            seg.read_range(0, seg.num_blocks) for seg in segments if len(seg)
-        ]
-        if not parts:
-            return empty_records(0)
-        if len(parts) == 1:
-            return parts[0]
-        out = empty_records(sum(len(p) for p in parts))
-        off = 0
-        for p in parts:
-            out[off : off + len(p)] = p
-            off += len(p)
-        return out
+        parts = [seg.read_range(0, seg.num_blocks) for seg in segments if len(seg)]
+        return parts[0] if len(parts) == 1 else self._machine.kernel.concat(parts)
 
-    def _drop_tombstoned(self, part: _Partition, recs: np.ndarray) -> np.ndarray:
-        if not part.tombstones:
+    def _drop_dead(self, recs: np.ndarray, tomb: np.ndarray | None) -> np.ndarray:
+        """``recs`` without the records whose composite is in ``tomb``."""
+        if tomb is None or not len(tomb):
             return recs
-        tomb = self._tomb_array(part)
         comps = composite(recs)
         cmp_search(self._machine, len(recs), len(tomb))
-        pos = np.searchsorted(tomb, comps)
-        pos_c = np.minimum(pos, len(tomb) - 1)
-        dead = tomb[pos_c] == comps
-        return recs[~dead]
+        pos = np.minimum(np.searchsorted(tomb, comps), len(tomb) - 1)
+        return recs[tomb[pos] != comps]
 
     @staticmethod
     def _tomb_array(part: _Partition) -> np.ndarray:
@@ -434,45 +491,42 @@ class PartitionIndex:
         tomb.sort()
         return tomb
 
-    def _rank_of_composite(self, c: int) -> int:
-        """Number of live elements with composite ``<= c``."""
+    def _count_between(self, part: _Partition, lo_c, hi_c) -> int:
+        """Live records of ``part`` with composite in ``(lo_c, hi_c]`` —
+        one scan, one comparison per record per bound (``None`` = no
+        bound on that side)."""
         m = self._machine
-        j = int(np.searchsorted(self._splitters, c, side="left"))
-        cmp_search(m, 1, max(1, len(self._splitters)))
-        below = sum(self._parts[i].live for i in range(j))
-        part = self._parts[j]
-        if part.stored == 0:
-            return below
+        bounds = (lo_c is not None) + (hi_c is not None)
         count = 0
         for seg in part.segments:
             with BlockReader(seg, "svc-range-scan") as reader:
                 for block in reader:
-                    cmp_linear(m, len(block))
-                    count += int((composite(block) <= c).sum())
+                    cmp_linear(m, bounds * len(block))
+                    comps = composite(block)
+                    inside = np.ones(len(comps), dtype=bool)
+                    if lo_c is not None:
+                        inside &= comps > lo_c
+                    if hi_c is not None:
+                        inside &= comps <= hi_c
+                    count += int(inside.sum())
         if part.tombstones:
             tomb = self._tomb_array(part)
-            cmp_search(m, 1, len(tomb))
-            count -= int(np.searchsorted(tomb, c, side="right"))
-        return below + count
+            cmp_search(m, bounds, len(tomb))
+            lo = 0 if lo_c is None else np.searchsorted(tomb, lo_c, "right")
+            hi = len(tomb) if hi_c is None else np.searchsorted(tomb, hi_c, "right")
+            count -= int(hi - lo)
+        return count
 
     # ------------------------------------------------------------------
     # Maintenance (compaction, split, merge, rebuild)
     # ------------------------------------------------------------------
     def _write_live(self, writer: BlockWriter, part: _Partition) -> None:
         """Stream a partition's live records into ``writer``."""
-        m = self._machine
         tomb = self._tomb_array(part) if part.tombstones else None
         for seg in part.segments:
             with BlockReader(seg, "svc-compact-in") as reader:
                 for block in reader:
-                    if tomb is not None and len(tomb):
-                        comps = composite(block)
-                        cmp_search(m, len(block), len(tomb))
-                        pos = np.minimum(
-                            np.searchsorted(tomb, comps), len(tomb) - 1
-                        )
-                        block = block[tomb[pos] != comps]
-                    writer.write(block)
+                    writer.write(self._drop_dead(block, tomb))
 
     def _compact(self, j: int) -> None:
         """Rewrite partition ``j`` as one segment, applying tombstones."""
@@ -529,19 +583,24 @@ class PartitionIndex:
                 new_parts, maxima = self._split_in_memory(part, sizes)
             else:
                 new_parts, maxima = self._split_external(part, sizes)
-        old_segments = part.segments
+        self.stats["splits"] += 1
+        self._m_maint.labels(op="split").inc()
+        self._splice(j, new_parts, maxima[:-1])
+
+    def _splice(self, j: int, new_parts: list[_Partition], splitters) -> None:
+        """Replace partition ``j`` by ``new_parts`` separated by
+        ``splitters`` (one fewer), releasing ``j``'s segments."""
+        old_segments = self._parts[j].segments
         self._parts[j : j + 1] = new_parts
         self._splitters = np.concatenate(
             [
                 self._splitters[:j],
-                np.array(maxima[:-1], dtype=np.int64),
+                np.asarray(splitters, dtype=np.int64),
                 self._splitters[j:],
             ]
         )
         for seg in old_segments:
             self._discard_segment(seg)
-        self.stats["splits"] += 1
-        self._m_maint.labels(op="split").inc()
         self._sync_resident()
 
     def _split_in_memory(self, part: _Partition, sizes: list[int]):
@@ -628,10 +687,14 @@ class PartitionIndex:
             except BaseException:
                 writer.abort()
                 raise
-            for part in self._parts:
-                for seg in part.segments:
-                    self._discard_segment(seg)
-            self._install(stage, self._k0, free_input=True)
+            old = [seg for part in self._parts for seg in part.segments]
+            try:
+                self._install(stage, self._k0, free_input=True)
+            except BaseException:
+                stage.free()
+                raise
+            for seg in old:
+                self._discard_segment(seg)
         self.stats["rebuilds"] += 1
         self._m_maint.labels(op="rebuild").inc()
 
@@ -717,24 +780,11 @@ class PartitionIndex:
             return
         for part in self._parts:
             for seg in part.segments:
-                seg.free()
-        self._parts = []
-        self._splitters = np.empty(0, dtype=np.int64)
-        self._n_live = 0
-        self._delta = None
-        if not self._resident.released:
-            self._resident.release()
-        self._closed = True
+                self._discard_segment(seg)
+        PartitionIndex.abandon(self)
 
     def __enter__(self) -> "PartitionIndex":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def multi_select_em(machine: "Machine", file: EMFile, ranks: np.ndarray):
-    """Late import wrapper for the offline fallback (rarely taken)."""
-    from ..core.multiselect import multi_select
-
-    return multi_select(machine, file, ranks)

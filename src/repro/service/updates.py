@@ -340,6 +340,16 @@ class DeltaBuffer:
             leftover.append(batch[~done])
             raise
 
+    def _candidates(self, key: int) -> range:
+        """Partitions that may hold ``key``: duplicates of a splitter key
+        can straddle a partition boundary."""
+        idx = self._index
+        splitters = idx._splitters
+        j_lo = int(np.searchsorted(splitters, composite_of(key, 0), "left"))
+        j_hi = int(np.searchsorted(splitters, composite_of(key, UID_MAX), "left"))
+        cmp_search(idx._machine, 2, max(1, len(splitters)))
+        return range(j_lo, min(j_hi, len(idx._parts) - 1) + 1)
+
     def _apply_delete(self, key: int) -> tuple[int, int]:
         """Tombstone one live record with ``key``.
 
@@ -355,13 +365,7 @@ class DeltaBuffer:
         """
         idx = self._index
         m = idx._machine
-        splitters = idx._splitters
-        j_lo = int(np.searchsorted(splitters, composite_of(key, 0), "left"))
-        j_hi = int(
-            np.searchsorted(splitters, composite_of(key, UID_MAX), "left")
-        )
-        cmp_search(m, 2, max(1, len(splitters)))
-        for j in range(j_lo, min(j_hi, len(idx._parts) - 1) + 1):
+        for j in self._candidates(key):
             part = idx._parts[j]
             for seg in part.segments:
                 with BlockReader(seg, "svc-delete-scan") as reader:
@@ -389,14 +393,8 @@ class DeltaBuffer:
         """
         idx = self._index
         m = idx._machine
-        splitters = idx._splitters
         c = composite_of(int(key), int(uid))
-        j_lo = int(np.searchsorted(splitters, composite_of(key, 0), "left"))
-        j_hi = int(
-            np.searchsorted(splitters, composite_of(key, UID_MAX), "left")
-        )
-        cmp_search(m, 2, max(1, len(splitters)))
-        for j in range(j_lo, min(j_hi, len(idx._parts) - 1) + 1):
+        for j in self._candidates(key):
             part = idx._parts[j]
             if c in part.tombstones:
                 continue

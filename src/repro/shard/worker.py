@@ -136,7 +136,7 @@ class ShardWorker:
         return self._engine.partition_of(int(key))
 
     def _nleaves(self, _payload) -> int:
-        return self._engine.n_leaves
+        return self._engine.num_partitions
 
     def _pivots(self, n_pivots) -> np.ndarray:
         n_pivots = int(n_pivots)

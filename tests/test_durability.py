@@ -184,6 +184,27 @@ class TestFlushExceptionSafety:
         rec.destroy()
         mach.close()
 
+    def test_refused_rebuild_keeps_the_old_partitions(self):
+        # The drift-triggered rebuild cannot lease its partitioning
+        # buffers: the applied deletes stay, and the old partitions
+        # keep serving (they used to be freed before the rebuild ran).
+        mach = _machine(sanitize=True)
+        recs = random_permutation(4096, seed=10)
+        keys = np.sort(recs["key"])
+        index = _build_volatile(mach, recs, rebuild_threshold=0.005)
+        for key in keys[:40]:
+            index.delete(int(key))
+        with mach.memory.lease(mach.memory.available - 3 * mach.B, "hog"):
+            with pytest.raises(MemoryBudgetError):
+                index.flush_updates()
+        assert index.stats["rebuilds"] == 0
+        assert index.n_live == 4056
+        assert np.array_equal(np.sort(_live_keys(index)), keys[40:])
+        index.check_invariants()
+        index.close()
+        assert mach.disk.live_blocks == 0
+        mach.close()
+
     def test_interleaved_plan_matches_key_multiset_oracle(self):
         mach = _machine()
         recs = random_permutation(4096, seed=7)
@@ -274,6 +295,40 @@ class TestDurableRoundtrip:
         # snapshots past the build-time one.
         assert index.durability_stats()["snapshots"] == snaps0 + 2
         index.destroy()
+
+
+class TestUnloggedAppliedGroup:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="WAL hole: a flush whose rebalance is refused after its "
+        "updates were applied never logs them (ROADMAP: Correctness, "
+        "serve-write-durable failures)",
+    )
+    @pytest.mark.parametrize("later", ["delete", "append"])
+    def test_refused_rebalance_still_logs_applied_updates(self, later):
+        mach = _machine()
+        recs = random_permutation(20_000, seed=21)
+        index = _build_durable(mach, recs, k=16)
+        # Leave 1,400 records free: the appends land, then the split in
+        # _rebalance is refused after they were applied.
+        with mach.memory.lease(mach.memory.available - 1_400, "hog"):
+            with pytest.raises(MemoryBudgetError):
+                index.append(np.full(1_400, 5, dtype=np.int64))
+        assert index.n_live == 21_400
+        # A later acknowledged group builds on the unlogged appends.
+        if later == "delete":
+            index.delete(5)
+        else:
+            index.append(np.arange(90_000, 90_010, dtype=np.int64))
+        index.flush_updates()
+        n_live = index.n_live
+        fives = int((_live_keys(index) == 5).sum())
+        manifest = index.manifest_block
+        index.abandon()
+        rec = recover(mach, manifest)
+        assert rec.n_live == n_live
+        assert int((_live_keys(rec) == 5).sum()) == fives
+        rec.destroy()
 
 
 def _shadow_answers(recs, plan, seq, trace, k=16, **kw):

@@ -12,10 +12,11 @@ rebalance boundaries.
 import numpy as np
 import pytest
 
-from repro.em import Machine, SpecError, make_records
+from repro.em import Machine, MemoryBudgetError, SpecError, make_records
 from repro.em.records import composite
 from repro.service import (
     DeltaBuffer,
+    DurablePartitionIndex,
     LazyPartitionIndex,
     PartitionIndex,
     Query,
@@ -229,6 +230,24 @@ class TestUpdates:
         assert index.stats["splits"] + index.stats["rebuilds"] >= 1
         index.close()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a buffered update whose svc-resident lease was refused "
+        "stays buffered but uncharged (ROADMAP: Correctness, "
+        "serve-write-durable failures)",
+    )
+    def test_refused_buffer_lease_holds_nothing_uncharged(self):
+        mach, recs, index = _build_eager(n=2000, k=8)
+        with mach.memory.lease(mach.memory.available, "hog"):
+            with pytest.raises(MemoryBudgetError, match="svc-resident"):
+                index.append(np.array([5]))
+        # Either the append was refused outright, or its buffered
+        # record is charged to the resident lease.
+        pending = len(index._delta) if index._delta is not None else 0
+        rule = len(index._splitters) + index.num_partitions + pending
+        assert index._resident.size == rule
+        index.close()
+
     def test_delta_buffer_capacity_autoflush(self):
         mach, recs, index = _build_eager(n=2000, k=8)
         index._delta = DeltaBuffer(index, capacity=10)
@@ -303,6 +322,117 @@ class TestLazyIndex:
             assert len(answers) == 400
         f.free()
         assert mach.memory.in_use == 0
+
+
+def _closed_built(mach, f):
+    index = PartitionIndex.build(mach, f, 8)
+    index.close()
+    return index
+
+
+def _closed_lazy(mach, f):
+    lazy = LazyPartitionIndex(mach, f, k=8)
+    lazy.select(7)  # refine first, so there are owned leaves to free
+    lazy.close()
+    return lazy
+
+
+def _abandoned_lazy(mach, f):
+    lazy = LazyPartitionIndex(mach, f, k=8)
+    lazy.select(7)
+    lazy.abandon()
+    return lazy
+
+
+def _abandoned_durable(mach, f):
+    index = DurablePartitionIndex.build_durable(mach, f, 8)
+    index.abandon()
+    return index
+
+
+_QUERIES = {
+    "select": lambda idx: idx.select(1),
+    "batch_select": lambda idx: idx.batch_select(np.array([1, 2])),
+    "quantile": lambda idx: idx.quantile(0.5),
+    "range_count": lambda idx: idx.range_count(0, 100),
+    "partition_of": lambda idx: idx.partition_of(5),
+}
+
+
+class TestClosedIndex:
+    @pytest.mark.parametrize(
+        "make",
+        [_closed_built, _closed_lazy, _abandoned_lazy, _abandoned_durable],
+        ids=["built-closed", "lazy-closed", "lazy-abandoned", "durable-abandoned"],
+    )
+    @pytest.mark.parametrize("query", sorted(_QUERIES))
+    def test_every_query_refused(self, make, query):
+        mach = _machine()
+        f = load_input(mach, random_permutation(2000, seed=4))
+        index = make(mach, f)
+        assert index.n_live == 0
+        with pytest.raises(SpecError, match="closed index"):
+            _QUERIES[query](index)
+        assert mach.memory.in_use == 0
+
+
+class TestOneEngine:
+    def test_lazy_engine_is_read_only(self):
+        mach = _machine()
+        f = load_input(mach, random_permutation(2000, seed=5))
+        with LazyPartitionIndex(mach, f, k=8) as lazy:
+            with pytest.raises(SpecError, match="read-only"):
+                lazy.append(np.array([1]))
+            with pytest.raises(SpecError, match="read-only"):
+                lazy.delete(1)
+            assert lazy.flush_updates() is None
+            assert lazy.n_live == 2000
+        f.free()
+
+    def test_lazy_refines_into_the_flat_partition_list(self):
+        mach = _machine()
+        recs = random_permutation(20_000, seed=6)
+        f = load_input(mach, recs)
+        keys = _sorted_keys(recs)
+        with LazyPartitionIndex(mach, f, k=32) as lazy:
+            assert lazy.num_partitions == 1
+            lazy.batch_select(np.array([1, 10_000, 20_000]))
+            assert lazy.num_partitions > 1
+            assert lazy.stats["refinements"] >= 1
+            # Resident control state: one record per splitter, partition
+            # and cached answer.
+            assert lazy._resident.size == (
+                2 * lazy.num_partitions - 1 + len(lazy._cache)
+            )
+            # Partition sizes sum to N and partition_of follows the
+            # splitters, exactly as on a built index.
+            assert sum(lazy.partition_sizes()) == 20_000
+            j = lazy.partition_of(int(keys[10_000]))
+            assert 0 <= j < lazy.num_partitions
+        f.free()
+        assert mach.memory.in_use == 0
+
+    @pytest.mark.parametrize("engine", ["built", "lazy"])
+    def test_range_inside_one_partition_scans_it_once(self, engine):
+        mach = _machine()
+        recs = uniform_random(8000, seed=7)
+        f = load_input(mach, recs)
+        keys = _sorted_keys(recs)
+        if engine == "built":
+            index = PartitionIndex.build(mach, f, 16)
+        else:
+            index = LazyPartitionIndex(mach, f, k=16)
+            index.batch_select(np.arange(1, 8001, 97))  # refine everywhere
+        lo, hi = int(keys[2000]), int(keys[2010])
+        j = index.partition_of(lo)
+        assert index.partition_of(hi) == j
+        blocks = sum(seg.num_blocks for seg in index._parts[j].segments)
+        mach.reset_counters()
+        got = index.range_count(lo, hi)
+        assert got == int(((keys > lo) & (keys <= hi)).sum())
+        assert mach.io.reads == blocks
+        index.close()
+        f.free()
 
 
 class TestQueryFrontend:
