@@ -362,7 +362,7 @@ class TestServiceVerbs:
                    "--queries", "48", "--out", str(out_file)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "answers identical to offline          : yes" in out
+        assert "answers match the sorted input        : yes" in out
         assert "PASS" in out
         assert "per-query I/O p50 / p95 / p99" in out
         assert out_file.exists()

@@ -1,7 +1,8 @@
 """AST lint engine tests: one positive and one negative fixture per
-rule, the v2 whole-program layer (call graph, dataflow, cache), seeded
-defects the v1 heuristics missed, suppression directives and their edge
-cases, rule selection, report output, and the repo-wide gate itself.
+rule, the per-module R3/R5 verdicts (a charge or release must sit in the
+function that needs it), the analysis cache, suppression directives and
+their edge cases, rule selection, report output, and the repo-wide gate
+itself.
 R7 (shard isolation) fixtures live with the subsystem they guard, in
 ``tests/test_shard.py``.  R8 and R9 are retired; their classes here pin
 the structural checks that replaced them.
@@ -25,19 +26,15 @@ from repro.em.machine import Machine
 from repro.lint import (
     ALGORITHM_SUBSYSTEMS,
     EM_LAYER_SUBSYSTEMS,
-    CallGraph,
     LintFinding,
     LintReport,
-    ModuleContext,
-    ProjectIndex,
+    LintRule,
     all_rules,
     baseline_delta,
-    compute_facts,
     get_rules,
     git_changed_files,
     lint_paths,
     lint_source,
-    summarize_module,
 )
 from repro.obs import default_budgets_path
 from repro.obs.solvers import SOLVERS
@@ -57,20 +54,6 @@ def _active(src: str, relpath: str = ALG_PATH, rules=None):
 
 def _rule_ids(findings):
     return [f.rule for f in findings]
-
-
-def _project_findings(files: dict, rule_id: str):
-    """Run one project rule over a multi-module fixture corpus."""
-    summaries = [
-        summarize_module(
-            ModuleContext.from_source(textwrap.dedent(src), rel)
-        )
-        for rel, src in files.items()
-    ]
-    project = ProjectIndex(summaries)
-    facts = compute_facts(project, CallGraph(project))
-    (rule,) = get_rules([rule_id])
-    return sorted(rule.check_project(facts))
 
 
 class TestRegistry:
@@ -94,9 +77,12 @@ class TestRegistry:
             assert rule.title and len(rule.rationale) > 40
 
     def test_project_rules_are_marked(self):
-        scopes = {r.rule_id: r.scope for r in all_rules()}
-        assert scopes["R3"] == scopes["R5"] == "project"
-        assert scopes["R1"] == scopes["R4"] == "module"
+        # Every rule, R3 and R5 included, judges one module through its
+        # own `check`; there is no project stage to mark a rule for.
+        for rule in all_rules():
+            assert type(rule).check is not LintRule.check, rule.rule_id
+            assert not hasattr(rule, "check_project")
+            assert not hasattr(rule, "scope")
 
     def test_layer_constants(self):
         assert "alg" in ALGORITHM_SUBSYSTEMS and "em" in EM_LAYER_SUBSYSTEMS
@@ -185,6 +171,8 @@ class TestR3RawComparisons:
 
     def test_negative_charged_function(self):
         src = """
+            from repro.em.comparisons import cmp_sort
+
             def f(machine, records):
                 cmp_sort(machine, len(records))
                 return np.sort(composite(records))
@@ -201,13 +189,56 @@ class TestR3RawComparisons:
         assert not _active(src, "repro/workloads/gen.py")
 
 
+class TestR3KernelSinks:
+    """Kernel order ops compare records; their call site charges them."""
+
+    UNCHARGED = """
+        def f(machine, records):
+            return machine.kernel.sort_by_composite(records)
+        """
+
+    def test_uncharged_kernel_sort_flagged(self):
+        (finding,) = _active(self.UNCHARGED)
+        assert finding.rule == "R3"
+        assert "kernel.sort_by_composite" in finding.message
+
+    def test_charged_kernel_sort_is_clean(self):
+        src = """
+            from ..em.comparisons import cmp_sort
+
+            def f(machine, records):
+                cmp_sort(machine, len(records))
+                return machine.kernel.sort_by_composite(records)
+            """
+        assert not _active(src)
+
+    @pytest.mark.parametrize("call", [
+        "kernel.bucket_of(block, comps)",
+        "get_kernel().partition_at(block, kth)",
+        "m.kernel.rank_order(block, kth)",
+    ])
+    def test_every_kernel_order_op_is_a_sink(self, call):
+        src = f"def f(m, kernel, block, comps, kth):\n    return {call}\n"
+        assert _rule_ids(_active(src)) == ["R3"]
+
+    def test_kernel_movement_is_not_a_sink(self):
+        src = "def f(m, parts):\n    return m.kernel.concat(parts)\n"
+        assert not _active(src)
+
+    def test_em_and_test_modules_exempt(self):
+        assert not _active(self.UNCHARGED, "repro/em/streams.py")
+        assert not _active(self.UNCHARGED, "tests/test_fixture.py")
+
+
 class TestR3Interprocedural:
-    """The dataflow upgrades: what v1 could not see."""
+    """R3 is local: a charge counts only in the sink's own function."""
 
     def test_helper_covered_by_charging_caller(self):
-        # v1 needed a suppression here; v2 clears the pure helper
-        # because its only caller charges.
+        # A charge made only by the caller no longer covers the helper:
+        # the sink is flagged where it sits.
         src = """
+            from repro.em.comparisons import cmp_sort
+
             def helper(records):
                 return np.sort(composite(records))
 
@@ -215,10 +246,14 @@ class TestR3Interprocedural:
                 cmp_sort(machine, len(records))
                 return helper(records)
             """
-        assert not _active(src)
+        (finding,) = _active(src)
+        assert finding.rule == "R3" and "`helper`" in finding.message
 
     def test_transitive_charge_through_callee(self):
+        # A charge made only inside a callee does not count either.
         src = """
+            from repro.em.comparisons import cmp_sort
+
             def charge(machine, n):
                 cmp_sort(machine, n)
 
@@ -226,12 +261,13 @@ class TestR3Interprocedural:
                 charge(machine, len(records))
                 return np.sort(composite(records))
             """
-        assert not _active(src)
+        (finding,) = _active(src)
+        assert finding.rule == "R3" and "`f`" in finding.message
 
     def test_seeded_defect_local_shadow_does_not_charge(self):
         # v1 false negative: a local `cmp_sort` shadow excused the sink
-        # by name.  v2 resolves the call to the shadow, sees it never
-        # reaches the machine, and flags the sink.
+        # by name.  Only a helper imported from repro.em.comparisons
+        # counts, and a local def shadows even such an import.
         src = """
             def cmp_sort(machine, n):
                 return n  # never touches the machine
@@ -242,6 +278,10 @@ class TestR3Interprocedural:
             """
         (finding,) = _active(src)
         assert finding.rule == "R3"
+        shadowed = "from repro.em.comparisons import cmp_sort\n" + (
+            textwrap.dedent(src)
+        )
+        assert _rule_ids(_active(shadowed)) == ["R3"]
 
     def test_uncharged_helper_with_uncharged_caller_still_flagged(self):
         src = """
@@ -366,11 +406,11 @@ class TestR5LeaseLifecycle:
 
 
 class TestR5Interprocedural:
-    """v2: the lease is followed across functions and classes."""
+    """R5 is local: a lease is followed within its module only."""
 
     def test_seeded_defect_write_only_attribute_leaks(self):
-        # v1 exempted every attribute store; v2 demands the class (or a
-        # relative) provably release the attribute.
+        # v1 exempted every attribute store; the class (or a relative)
+        # must release the attribute.
         src = """
             class Index:
                 def __init__(self, machine):
@@ -392,6 +432,8 @@ class TestR5Interprocedural:
         assert not _active(src)
 
     def test_lease_returner_call_site_discard_flagged(self):
+        # The returned lease is flagged where it is taken; the call
+        # site is not a lease site.
         src = """
             def make_lease(machine):
                 return machine.memory.lease(8, "x")
@@ -400,21 +442,27 @@ class TestR5Interprocedural:
                 make_lease(machine)
             """
         (finding,) = _active(src)
-        assert finding.rule == "R5"
-        assert "make_lease" in finding.message
+        assert finding.rule == "R5" and "returned" in finding.message
+        assert finding.line == 3
 
     def test_lease_returner_call_site_with_is_clean(self):
+        # The `with` call site itself draws no finding; the returning
+        # function does.
         src = """
             def make_lease(machine):
-                return machine.memory.lease(8, "x")
+                lease = machine.memory.lease(8, "x")
+                return lease
 
             def good(machine):
                 with make_lease(machine):
                     work()
             """
-        assert not _active(src)
+        (finding,) = _active(src)
+        assert finding.line == 3 and "returned" in finding.message
 
     def test_wrapper_propagates_returner_obligation(self):
+        # The obligation no longer travels: one finding, at the lease
+        # the innermost function returns.
         src = """
             def make_lease(machine):
                 return machine.memory.lease(8, "x")
@@ -427,9 +475,11 @@ class TestR5Interprocedural:
                 work()
             """
         (finding,) = _active(src)
-        assert finding.rule == "R5" and "wrapper" in finding.message
+        assert finding.rule == "R5" and finding.line == 3
 
-    def test_passed_to_releasing_callee_is_clean(self):
+    def test_passed_to_releasing_callee_is_flagged(self):
+        # A callee's release is not checked: release it where it is
+        # taken.
         src = """
             def consume(lease):
                 try:
@@ -441,7 +491,8 @@ class TestR5Interprocedural:
                 held = machine.memory.lease(8, "x")
                 consume(held)
             """
-        assert not _active(src)
+        (finding,) = _active(src)
+        assert finding.rule == "R5" and "consume" in finding.message
 
     def test_passed_to_non_releasing_callee_flagged(self):
         src = """
@@ -605,36 +656,6 @@ class TestR9RegistryConsistency:
         assert labels == {n: s.formula.__name__ for n, s in SOLVERS.items()}
 
 
-class TestCallGraphGolden:
-    def test_resolution_rate_at_least_95_percent(self):
-        report = lint_paths()
-        assert report.callgraph["call_sites"] > 3000
-        assert report.callgraph["resolution_rate"] >= 0.95, report.callgraph
-
-    def test_known_edges_resolve(self):
-        from repro.lint import default_root, iter_python_files
-        from repro.lint.runner import _relpath, default_lint_paths
-
-        root = default_root()
-        summaries = []
-        for f in iter_python_files(default_lint_paths(root)):
-            summaries.append(
-                summarize_module(
-                    ModuleContext.from_source(f.read_text(), _relpath(f, root))
-                )
-            )
-        project = ProjectIndex(summaries, root=root)
-        graph = CallGraph(project)
-        # selection's helper is called by the mo5 pipeline
-        callers = graph.callers("repro.alg.selection._group_medians")
-        assert any("median_of_five_file" in c for c in callers)
-        # cmp_median5 resolves into the em comparisons module
-        callees = graph.callees(
-            "repro.alg.selection.median_of_five_file"
-        )
-        assert "repro.em.comparisons.cmp_median5" in callees
-
-
 class TestSuppression:
     def test_same_line_directive_suppresses(self):
         active, suppressed = _lint(
@@ -767,6 +788,19 @@ class TestAnalysisCache:
         assert r2.cache_stats["misses"] == 1
         assert not r2.findings
 
+    def test_same_source_at_two_paths_keeps_each_path(self, tmp_path):
+        # Findings carry the module's path, so the cache key must too.
+        a = self._tree(tmp_path, "def f():\n    return np.random.rand()\n")
+        b = tmp_path / "repro" / "core" / "b.py"
+        b.parent.mkdir(parents=True)
+        b.write_text(a.read_text())
+        cache = tmp_path / "cache.json"
+        for _ in range(2):
+            report = lint_paths([a, b], root=tmp_path, cache_path=cache)
+            assert [f.path for f in report.findings] == [
+                "repro/alg/mod.py", "repro/core/b.py",
+            ]
+
     def test_corrupt_cache_degrades_to_cold(self, tmp_path):
         f = self._tree(tmp_path, "def f(m):\n    return m.disk.peek(0)\n")
         cache = tmp_path / "cache.json"
@@ -876,7 +910,7 @@ class TestFindingsAndReports:
         assert payload["ok"] is False
         assert payload["findings"][0]["rule"] == "R2"
         assert payload["findings"][0]["path"] == "repro/alg/bad.py"
-        assert "callgraph" in payload and "cache" in payload
+        assert "cache" in payload and "callgraph" not in payload
 
 
 class TestRepoGate:
@@ -891,10 +925,9 @@ class TestRepoGate:
     def test_repo_suppressions_are_justified(self):
         # Every committed suppression is one we placed deliberately;
         # this pins the per-rule budget so new ones show up in review.
-        # The v2 dataflow engine retired the R3 suppressions in
-        # selection.py (callers charge cmp_median5), and the one-kernel
-        # module retired bucket_indices' R3 and _group_medians' R6 —
-        # the budget must only ever shrink.
+        # The one-kernel module retired bucket_indices' R3 and
+        # _group_medians' R6, and _group_medians now charges its own
+        # cmp_median5 — the budget must only ever shrink.
         report = lint_paths()
         by_rule = Counter(f.rule for f in report.suppressed)
         assert dict(by_rule) == {
